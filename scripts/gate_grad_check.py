@@ -4,12 +4,14 @@
 Draws random (signal, parameter) instances, compares every partial
 derivative of the gate (mean offsets, log-scales, input) with a central
 difference at step h, and reports the worst error per gradient block.
+Exits 1 if any block fails.
 
 Example:
     python3 scripts/gate_grad_check.py --instances 200 --step 1e-4
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -44,7 +46,7 @@ def finite_difference(x, params, h):
     return d_off, d_log, d_in
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=100)
     parser.add_argument("--step", type=float, default=1e-4)
@@ -62,12 +64,14 @@ def main() -> None:
         oracle = finite_difference(x, params, args.step)
         for name, a, o in zip(worst, analytic, oracle):
             err = float(np.max(np.abs(a - o) / np.maximum(np.abs(o), 1e-4)))
-            worst[name] = max(worst[name], err)
+            worst[name] = np.maximum(worst[name], err)  # keeps a NaN
 
+    passed = {name: err < 1e-4 for name, err in worst.items()}
     for name, err in worst.items():
-        status = "ok" if err < 1e-4 else "FAIL"
+        status = "ok" if passed[name] else "FAIL"
         print(f"{name:<12} worst rel err {err:.3e}  [{status}]")
+    return 0 if all(passed.values()) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

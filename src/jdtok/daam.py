@@ -140,6 +140,27 @@ def temporal_stats(x: np.ndarray, var_floor: float = 1e-6) -> tuple[float, float
     return mean, max(var, var_floor)
 
 
+def _gate_forward(x: np.ndarray, params: DaamParams, dtype):
+    """The gate in ``dtype``, with the intermediates its gradient reuses."""
+    x = np.asarray(x, dtype=dtype)
+    _check_signal(x)
+    delta = params.mean_offsets.astype(dtype)
+    st = (_softplus(params.log_scales) + params.eps).astype(dtype)
+
+    mu = x.mean(dtype=dtype)
+    dev = x - mu
+    var_raw = np.mean(dev**2, dtype=dtype)
+    sigma = np.sqrt(np.maximum(var_raw, dtype(params.var_floor)))
+
+    denom = sigma * st + dtype(params.eps)
+    z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
+    log_p = -dtype(0.5) * z * z - np.log(st)[:, None] - dtype(0.5 * _LOG_2PI)
+    m = log_p.max(axis=0)
+    sum_exp = np.exp(log_p - m[None, :]).sum(axis=0)
+    gate = np.exp(m + np.log(sum_exp / params.num_components))
+    return gate, log_p, m + np.log(sum_exp), z, denom, st, sigma, dev, var_raw
+
+
 def daam_gate(x: np.ndarray, params: DaamParams, dtype=np.float64) -> np.ndarray:
     """Evaluate the mixture-density gate on a 1-D signal.
 
@@ -149,22 +170,7 @@ def daam_gate(x: np.ndarray, params: DaamParams, dtype=np.float64) -> np.ndarray
     subtraction and folds the 1/K mixture weight inside the log, so a mixture
     of K identical components reproduces the K=1 gate bit-for-bit.
     """
-    x = np.asarray(x, dtype=dtype)
-    _check_signal(x)
-    delta = params.mean_offsets.astype(dtype)
-    st = (_softplus(params.log_scales) + params.eps).astype(dtype)
-    k = params.num_components
-
-    mu = x.mean(dtype=dtype)
-    var = np.maximum(np.mean((x - mu) ** 2, dtype=dtype), dtype(params.var_floor))
-    sigma = np.sqrt(var)
-
-    denom = sigma * st + dtype(params.eps)
-    z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
-    log_p = -dtype(0.5) * z * z - np.log(st)[:, None] - dtype(0.5 * _LOG_2PI)
-    m = log_p.max(axis=0)
-    log_gate = m + np.log(np.exp(log_p - m[None, :]).sum(axis=0) / k)
-    return np.exp(log_gate)
+    return _gate_forward(x, params, dtype)[0]
 
 
 def daam_gate_grad(
@@ -178,34 +184,26 @@ def daam_gate_grad(
         ``d_log_scales[k, t] = dG_t / d nu_k`` and
         ``d_input[t, s] = dG_t / d x_s``.
 
-    The input derivative chains through the temporal mean and standard
-    deviation; when the variance floor is engaged the sigma path contributes
-    zero (the clamp is flat there).
+    The input Jacobian is built in closed form, never as a [K, T, T] tensor:
+
+        d_input = diag(a) - (a / T) 1^T + b dsigma^T
+        a_t = -G_t sum_k w_kt z_kt / denom_k       (through x_t and the mean)
+        b_t = G_t sum_k w_kt z_kt^2 s_k / denom_k  (through sigma)
+
+    where ``w`` are the component responsibilities and ``dsigma_s = (x_s -
+    mu) / (T sigma)``, zero while the variance floor is engaged (the clamp is
+    flat there).
     """
-    x = np.asarray(x, dtype=np.float64)
-    _check_signal(x)
-    delta = params.mean_offsets
-    nu = params.log_scales
-    t = x.size
-
-    mu = x.mean()
-    var_raw = float(np.mean((x - mu) ** 2))
-    var = max(var_raw, params.var_floor)
-    sigma = np.sqrt(var)
-    st = _softplus(nu) + params.eps
-    denom = sigma * st + params.eps
-
-    z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
-    log_p = -0.5 * z * z - np.log(st)[:, None] - 0.5 * _LOG_2PI
-    m = log_p.max(axis=0)
-    sum_exp = np.exp(log_p - m[None, :]).sum(axis=0)
-    gate = np.exp(m + np.log(sum_exp / params.num_components))
+    gate, log_p, log_norm, z, denom, st, sigma, dev, var_raw = _gate_forward(
+        x, params, np.float64
+    )
+    t = dev.size
     # responsibilities: softmax over components at each timestep
-    w = np.exp(log_p - (m + np.log(sum_exp))[None, :])
+    w = np.exp(log_p - log_norm[None, :])
 
     d_offsets = gate[None, :] * w * z / denom[:, None]
 
-    sig_nu = _sigmoid(nu)
+    sig_nu = _sigmoid(params.log_scales)
     d_log_scales = (
         gate[None, :]
         * w
@@ -214,16 +212,13 @@ def daam_gate_grad(
     )
 
     # d sigma / d x_s is zero while the variance clamp is active
-    if var_raw > params.var_floor:
-        d_sigma = (x - mu) / (t * sigma)
-    else:
-        d_sigma = np.zeros(t)
-    eye = np.eye(t)
-    dz = (eye[None, :, :] - 1.0 / t) / denom[:, None, None] - z[:, :, None] * (
-        st / denom
-    )[:, None, None] * d_sigma[None, None, :]
-    d_log_p = -z[:, :, None] * dz
-    d_input = gate[:, None] * np.einsum("kt,kts->ts", w, d_log_p)
+    d_sigma = dev / (t * sigma) * (var_raw > params.var_floor)
+    # d_offsets[k, t] = G_t w_kt z_kt / denom_k, so a and b are sums over it
+    a = -d_offsets.sum(axis=0)
+    b = (d_offsets * z * st[:, None]).sum(axis=0)
+    d_input = np.outer(b, d_sigma)
+    d_input -= (a / t)[:, None]
+    d_input.flat[:: t + 1] += a
     return d_offsets, d_log_scales, d_input
 
 

@@ -11,7 +11,7 @@ and frame_rate_hz carrying the sample rate:
     4       4     u32 format version (1)
     8       4     u32 channel count C
     12      8     u64 frame count T
-    20      8     f64 frame_rate_hz
+    20      8     f64 frame_rate_hz (finite, > 0)
     28      4*C*T f32 payload, channel-major (all of channel 0, then 1, ...)
 
 Token file (magic ``JDT1``):
@@ -24,7 +24,7 @@ Token file (magic ``JDT1``):
     16      4     u32 dimension count D
     20      4     u32 token width in bits (16 or 32)
     24      8     u64 frame count
-    32      8     f64 frame_rate_hz
+    32      8     f64 frame_rate_hz (finite, > 0)
     40      2*D   u16 per-dimension radices
     ...           frames x groups unsigned tokens of the declared width
 
@@ -61,6 +61,25 @@ _FEATURE_HEADER = struct.Struct("<4sIIQd")
 _TOKEN_HEADER = struct.Struct("<4sIIIIIQd")
 
 
+def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytes, tuple]:
+    """Read a container and check its fixed header: size, magic, version, rate.
+
+    Returns the raw bytes and the header fields after magic and version.
+    """
+    raw = Path(path).read_bytes()
+    if len(raw) < header.size:
+        raise FormatError(f"{path}: truncated header")
+    found, version, *fields = header.unpack_from(raw)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    rate = fields[-1]  # both layouts end in frame_rate_hz
+    if not (np.isfinite(rate) and rate > 0):
+        raise FormatError(f"{path}: frame rate {rate!r} is not positive and finite")
+    return raw, tuple(fields)
+
+
 def write_feature_file(path, data: np.ndarray, frame_rate_hz: float) -> None:
     """Write a [C, T] float array as a feature file."""
     data = np.asarray(data, dtype=np.float32)
@@ -75,14 +94,8 @@ def write_feature_file(path, data: np.ndarray, frame_rate_hz: float) -> None:
 
 def read_feature_file(path) -> tuple[np.ndarray, float]:
     """Read a feature file back to ([C, T] float32 array, frame_rate_hz)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _FEATURE_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, channels, frames, frame_rate = _FEATURE_HEADER.unpack_from(raw)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    raw, header = _read_header(path, _FEATURE_HEADER, FEATURE_MAGIC)
+    channels, frames, frame_rate = header
     expected = _FEATURE_HEADER.size + 4 * channels * frames
     if len(raw) != expected:
         raise FormatError(
@@ -126,23 +139,8 @@ def write_token_file(path, stream: TokenStream) -> None:
 
 def read_token_file(path) -> TokenStream:
     """Read a token file and revalidate every token against its vocabulary."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _TOKEN_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    (
-        magic,
-        version,
-        group_count,
-        group_size,
-        dim,
-        width,
-        frames,
-        frame_rate,
-    ) = _TOKEN_HEADER.unpack_from(raw)
-    if magic != TOKEN_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {TOKEN_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    raw, header = _read_header(path, _TOKEN_HEADER, TOKEN_MAGIC)
+    group_count, group_size, dim, width, frames, frame_rate = header
     if width not in (16, 32):
         raise FormatError(f"{path}: invalid token width {width}")
     offset = _TOKEN_HEADER.size

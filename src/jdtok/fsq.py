@@ -8,8 +8,10 @@ integer per dimension.
 
 ``quantize_projected`` skips the tanh and operates on already-bounded values;
 it is the entry point for re-quantizing dequantized lattice values, for which
-it is exactly idempotent.  Ties at lattice midpoints break toward the lower
-index, deterministically.
+it is exactly idempotent.  The snap brackets v between lattice points j and
+j + 1, j = floor((v L + L - 1) / 2), and moves up only when j + 1 is strictly
+closer, so ties at midpoints and float neighbours of midpoints whose two
+distances round equal go to the lower index, exactly as an argmin would.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "straight_through",
 ]
 
-_CHUNK = 4096  # time-axis chunk for the distance matrix
+_CHUNK = 512  # time-axis chunk: keeps the snap's temporaries cache-sized
 
 
 @dataclass(frozen=True)
@@ -60,16 +62,12 @@ def fsq_boundaries(level: int) -> np.ndarray:
     """The sorted lattice for one dimension with ``level`` levels."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    return (2.0 * np.arange(level) - level + 1) / level
+    return _lattice(np.arange(level), level)
 
 
-def _boundary_matrix(levels: FsqLevels) -> np.ndarray:
-    # [D, Lmax], padded with +inf so padded slots never win the argmin
-    lmax = max(levels.levels)
-    mat = np.full((levels.dim, lmax), np.inf)
-    for d, ld in enumerate(levels.levels):
-        mat[d, :ld] = fsq_boundaries(ld)
-    return mat
+def _lattice(index, level):
+    # shared by snap, dequantize and boundaries so they agree bit for bit
+    return (2.0 * index - level + 1) / level
 
 
 def quantize_projected(
@@ -93,15 +91,18 @@ def quantize_projected(
     if not np.all(np.isfinite(values)):
         raise ValueError("input contains non-finite values")
 
-    bmat = _boundary_matrix(levels)
-    t = values.shape[1]
+    lvl = np.asarray(levels.levels, dtype=np.float64)[:, None]
+    multi = lvl > 1  # a 1-level dimension has no upper neighbour
     indices = np.empty(values.shape, dtype=np.int64)
-    for lo in range(0, t, _CHUNK):
-        hi = min(lo + _CHUNK, t)
-        dist = np.abs(values[:, lo:hi, None] - bmat[:, None, :])
-        # np.argmin returns the first minimum, which is the lower index
-        indices[:, lo:hi] = np.argmin(dist, axis=2)
-    quantized = np.take_along_axis(bmat, indices, axis=1)
+    quantized = np.empty(values.shape)
+    for lo in range(0, values.shape[1], _CHUNK):
+        v = values[:, lo : lo + _CHUNK]
+        j = np.clip(np.floor((v * lvl + lvl - 1) / 2), 0, np.maximum(lvl - 2, 0))
+        below = _lattice(j, lvl)
+        above = _lattice(j + 1, lvl)
+        up = (np.abs(v - above) < np.abs(v - below)) & multi
+        indices[:, lo : lo + _CHUNK] = j + up
+        quantized[:, lo : lo + _CHUNK] = np.where(up, above, below)
     return indices, quantized
 
 
@@ -135,7 +136,7 @@ def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
             f"index {indices[d, t]} out of range for dimension {d} "
             f"(level {levels.levels[d]}) at frame {t}"
         )
-    return (2.0 * indices - lvl + 1) / lvl
+    return _lattice(indices, lvl)
 
 
 def straight_through(grad_downstream: np.ndarray) -> np.ndarray:

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from jdtok.cli import main
-from jdtok.fileio import read_feature_file, read_token_file, write_feature_file
+from jdtok.fileio import (
+    read_feature_file,
+    read_token_file,
+    write_feature_file,
+    write_token_file,
+)
+from jdtok.fsq import FsqLevels
 from jdtok.masking import MaskConfig, generate_block_mask
+from jdtok.radix import TokenStream, build_scheme
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
 
@@ -81,6 +88,20 @@ class TestDetokenize:
         tok.write_bytes(bytes(raw))
         assert main(["detokenize", "--in", str(tok), "--out", str(tmp_path / "b.jdf")]) == 4
         assert "frame" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -2.5])
+    def test_unusable_frame_rate_exits_3_without_output(self, tmp_path, capsys, rate):
+        feat = tmp_path / "f.jdf"
+        tok = tmp_path / "t.jdt"
+        back = tmp_path / "b.jdf"
+        write_features(feat, 3, rate=rate)
+        assert main(["tokenize", "--config", CONFIG, "--in", str(feat), "--out", str(tok)]) == 3
+        assert not tok.exists()
+        scheme = build_scheme(FsqLevels(), 7)
+        write_token_file(tok, TokenStream(np.zeros((3, 19), dtype=np.uint64), scheme, rate))
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 3
+        assert not back.exists()
+        assert "frame rate" in capsys.readouterr().err
 
     def test_tokenize_after_detokenize_is_stable(self, tmp_path, capsys):
         feat = tmp_path / "f.jdf"

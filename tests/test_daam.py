@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,43 @@ def finite_difference_grads(x, params, h=1e-4):
         xm[s] -= h
         d_in[:, s] = (daam_gate(xp, params) - daam_gate(xm, params)) / (2 * h)
     return d_off, d_log, d_in
+
+
+def dense_gate_grad(x, params):
+    """The dense construction of the gate derivatives, as a test oracle.
+
+    Builds dG_t / dx_s from a [K, T, T] tensor through np.eye(T) and an
+    einsum: exact, but O(K T^2) in time and memory.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    delta, nu, t = params.mean_offsets, params.log_scales, x.size
+    mu = x.mean()
+    var_raw = float(np.mean((x - mu) ** 2))
+    sigma = np.sqrt(max(var_raw, params.var_floor))
+    st = np.logaddexp(0.0, nu) + params.eps
+    denom = sigma * st + params.eps
+    z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
+    log_p = -0.5 * z * z - np.log(st)[:, None] - 0.5 * np.log(2.0 * np.pi)
+    m = log_p.max(axis=0)
+    sum_exp = np.exp(log_p - m[None, :]).sum(axis=0)
+    gate = np.exp(m + np.log(sum_exp / params.num_components))
+    w = np.exp(log_p - (m + np.log(sum_exp))[None, :])
+    d_offsets = gate[None, :] * w * z / denom[:, None]
+    ev = np.exp(nu)
+    sig_nu = np.where(nu >= 0, 1.0 / (1.0 + np.exp(-nu)), ev / (1.0 + ev))
+    d_log_scales = (
+        gate[None, :] * w * (z * z * sigma / denom[:, None] - 1.0 / st[:, None])
+        * sig_nu[:, None]
+    )
+    if var_raw > params.var_floor:
+        d_sigma = (x - mu) / (t * sigma)
+    else:
+        d_sigma = np.zeros(t)
+    dz = (np.eye(t)[None, :, :] - 1.0 / t) / denom[:, None, None] - z[:, :, None] * (
+        st / denom
+    )[:, None, None] * d_sigma[None, None, :]
+    d_input = gate[:, None] * np.einsum("kt,kts->ts", w, -z[:, :, None] * dz)
+    return d_offsets, d_log_scales, d_input
 
 
 def max_rel_err(analytic, oracle, atol=1e-8, rtol=1e-4):
@@ -185,6 +224,32 @@ class TestDaamGateGrad:
         for k in range(3):
             assert np.ptp(d_off[k]) == 0.0
         assert max_rel_err(d_off, oracle) < 1e-4
+
+    @pytest.mark.parametrize("t", [1, 2, 17, 300])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_matches_dense_jacobian(self, t, k):
+        rng = np.random.default_rng(100 * t + k)
+        params = DaamParams(rng.uniform(-1, 1, k), rng.uniform(-2, 1, k))
+        # a constant signal engages the variance floor
+        for x in (rng.standard_normal(t) * 2.0, np.full(t, 0.7)):
+            d_off, d_log, d_in = daam_gate_grad(x, params)
+            o_off, o_log, o_in = dense_gate_grad(x, params)
+            assert d_in.shape == (t, t)
+            assert np.max(np.abs(d_in - o_in)) <= 1e-12 * np.max(np.abs(o_in))
+            np.testing.assert_array_equal(d_off, o_off)
+            np.testing.assert_array_equal(d_log, o_log)
+
+    def test_peak_memory_stays_below_three_dense_blocks(self):
+        t = 1024
+        x = np.random.default_rng(11).standard_normal(t)
+        params = DaamParams.init(4)
+        tracemalloc.start()
+        try:
+            daam_gate_grad(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * t * t * 8
 
 
 class TestModulation:

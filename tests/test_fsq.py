@@ -13,6 +13,29 @@ from jdtok.fsq import (
 )
 
 
+def argmin_oracle(values, levels):
+    """Brute-force snap: the first argmin of |v - b| over ``fsq_boundaries``."""
+    idx = np.empty(values.shape, dtype=np.int64)
+    val = np.empty(values.shape)
+    for d, ld in enumerate(levels):
+        b = fsq_boundaries(ld)
+        idx[d] = np.argmin(np.abs(values[d][:, None] - b[None, :]), axis=1)
+        val[d] = b[idx[d]]
+    return idx, val
+
+
+def adversarial_values(level):
+    """Lattice points, midpoints and +-1, each with 16 float steps either side."""
+    b = fsq_boundaries(level)
+    mid = (2.0 * np.arange(1, level) - level) / level
+    base = np.concatenate([b, mid, [-1.0, 1.0]])
+    out, up, down = [base], base, base
+    for _ in range(16):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
 class TestBoundaries:
     def test_four_levels(self):
         np.testing.assert_array_equal(
@@ -58,16 +81,29 @@ class TestQuantize:
 
     def test_matches_brute_force_argmin(self):
         rng = np.random.default_rng(0)
-        levels = FsqLevels((1, 2, 3, 4, 5, 8))
+        levels = (1, 2, 3, 4, 5, 8)
         z = rng.standard_normal((6, 200)) * 2
-        idx, val = fsq_quantize(z, levels)
-        y = np.tanh(z)
-        for d, ld in enumerate(levels.levels):
-            b = fsq_boundaries(ld)
-            for t in range(200):
-                expect = int(np.argmin(np.abs(y[d, t] - b)))
-                assert idx[d, t] == expect
-                assert val[d, t] == b[expect]
+        cases = [(fsq_quantize, z, levels, np.tanh(z))]
+        # every level 1..16 on its own and all on one mixed-level array, at
+        # the points where rounding could tip a closed form off the argmin
+        for level in range(1, 17):
+            v = adversarial_values(level)[None, :]
+            cases.append((quantize_projected, v, (level,), v))
+            raw = np.arctanh(v[np.abs(v) < 1][None, :])
+            cases.append((fsq_quantize, raw, (level,), np.tanh(raw)))
+        every = np.concatenate([adversarial_values(lv) for lv in range(1, 17)])
+        mixed = np.tile(every, (16, 1))
+        cases.append((quantize_projected, mixed, tuple(range(1, 17)), mixed))
+        for fn, x, lv, projected in cases:
+            idx, val = fn(x, FsqLevels(lv))
+            expect_idx, expect_val = argmin_oracle(projected, lv)
+            np.testing.assert_array_equal(idx, expect_idx)
+            assert np.array_equal(val, expect_val)
+        # the float just above -1/2 lies nearer -1/4 than -3/4
+        v = np.array([[-0.49999999999999994]])
+        idx, val = quantize_projected(v, FsqLevels((4,)))
+        assert idx[0, 0] == 1
+        assert val[0, 0] == -0.25
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

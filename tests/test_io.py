@@ -14,6 +14,8 @@ from jdtok.fileio import (
 from jdtok.fsq import FsqLevels
 from jdtok.radix import TokenStream, build_scheme
 
+BAD_RATES = [float("nan"), float("inf"), float("-inf"), 0.0, -2.5]
+
 
 class TestFeatureFile:
     def test_round_trip(self, tmp_path):
@@ -62,6 +64,13 @@ class TestFeatureFile:
         back, rate = read_feature_file(path)
         assert back.shape == (7, 11)
         assert rate == 12.5
+
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_unusable_frame_rate_rejected(self, tmp_path, rate):
+        path = tmp_path / "r.jdf"
+        write_feature_file(path, np.zeros((2, 3), dtype=np.float32), rate)
+        with pytest.raises(FormatError, match="frame rate"):
+            read_feature_file(path)
 
 
 class TestTokenFile:
@@ -138,6 +147,15 @@ class TestTokenFile:
         for p in (a, b):
             write_token_file(p, TokenStream(tokens, scheme, 2.5))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_unusable_frame_rate_rejected(self, tmp_path, rate):
+        scheme = build_scheme([4, 4], group_size=2)
+        path = tmp_path / "r.jdt"
+        stream = TokenStream(np.zeros((3, 1), dtype=np.uint64), scheme, rate)
+        write_token_file(path, stream)
+        with pytest.raises(FormatError, match="frame rate"):
+            read_token_file(path)
 
 
 class TestMaskFile:
