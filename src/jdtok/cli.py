@@ -97,11 +97,9 @@ def _cmd_score(args) -> int:
         raise ValidationError(
             f"length mismatch: {ref.shape[1]} vs {hyp.shape[1]} samples"
         )
-    ref_w = ref[0].astype(np.float64)
-    hyp_w = hyp[0].astype(np.float64)
-    rec = l1_loss(hyp_w, ref_w)
+    rec = l1_loss(hyp[0], ref[0])
     stft_cfg = StftConfig()
-    stft_total, per_res = multi_res_stft(hyp_w, ref_w, stft_cfg)
+    stft_total, per_res = multi_res_stft(hyp[0], ref[0], stft_cfg)
     print(f"l1: {rec:.6g}")
     for (fft, hop), (sc, mag) in zip(
         zip(stft_cfg.fft_sizes, stft_cfg.hop_sizes), per_res

@@ -107,6 +107,46 @@ def _resolve_window(window, fft_size: int) -> np.ndarray:
     return window
 
 
+# Samples per signal that one block of the multi-resolution loss transforms:
+# max(1, _BLOCK_SAMPLES // fft_size) frames, so a block's windowed frames,
+# spectrum and magnitudes stay in cache whatever the resolution.
+_BLOCK_SAMPLES = 1 << 14
+
+
+def _reflect_pad(signals, fft_size: int) -> np.ndarray:
+    """[len(signals), n + 2*(fft_size // 2)] rows, each signal reflect-padded.
+
+    The equal-length 1-D signals of n samples are mirrored by fft_size // 2
+    at both ends without repeating the edge sample, as
+    ``np.pad(mode="reflect")`` does.  The float64 rows hold the frames of
+    every fft size up to ``fft_size`` (see ``_frames``).
+    """
+    length = signals[0].size
+    if length < fft_size:
+        raise ValueError(
+            f"input of {length} samples is shorter than the fft size {fft_size}"
+        )
+    pad = fft_size // 2
+    out = np.empty((len(signals), length + 2 * pad))
+    for row, signal in zip(out, signals):
+        row[pad : pad + length] = signal
+        row[:pad] = signal[pad:0:-1]
+        row[pad + length :] = signal[-2 : -pad - 2 : -1]
+    return out
+
+
+def _frames(padded: np.ndarray, padded_fft: int, fft_size: int, hop: int) -> np.ndarray:
+    """Strided [rows, frames, fft_size] view of centred frames hopped by ``hop``.
+
+    ``padded`` comes from ``_reflect_pad`` for an fft of ``padded_fft`` >=
+    ``fft_size`` samples; the surplus padding is trimmed, so frame f starts
+    at sample f*hop - fft_size // 2 of the signal.
+    """
+    cut = padded_fft // 2 - fft_size // 2
+    centred = padded[:, cut : padded.shape[1] - cut]
+    return np.lib.stride_tricks.sliding_window_view(centred, fft_size, axis=1)[:, ::hop]
+
+
 def stft_magnitude(
     x: np.ndarray, fft_size: int, hop: int, window="hann"
 ) -> np.ndarray:
@@ -116,17 +156,24 @@ def stft_magnitude(
     hopped by ``hop``; bins = fft_size // 2 + 1.  ``window`` is "hann"
     (periodic, the default), "rect", or an explicit length-fft_size array.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size < fft_size:
-        raise ValueError(
-            f"input of {x.size} samples is shorter than the fft size {fft_size}"
-        )
+    x = np.ravel(x)
+    padded = _reflect_pad([x], fft_size)
+    frames = _frames(padded, fft_size, fft_size, hop)[0]
     win = _resolve_window(window, fft_size)
-    pad = fft_size // 2
-    padded = np.pad(x, pad, mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, fft_size)[::hop]
-    spec = np.fft.rfft(frames * win[None, :], axis=1)
-    return np.abs(spec).T
+    return np.abs(np.fft.rfft(frames * win, axis=1)).T
+
+
+def _convergence(diff_energy: float, ref_energy: float) -> float:
+    """sqrt(diff_energy / ref_energy): the spectral convergence of two sums."""
+    if ref_energy == 0.0:
+        raise ValueError("reference magnitudes are all zero (silent reference)")
+    return float(np.sqrt(diff_energy / ref_energy))
+
+
+def _log_distance(s_ref: np.ndarray, s_hat: np.ndarray, floor: float) -> float:
+    """Sum of |log(max(s_hat, floor) / max(s_ref, floor))| over all elements."""
+    ratio = np.maximum(s_hat, floor) / np.maximum(s_ref, floor)
+    return np.abs(np.log(ratio, out=ratio), out=ratio).sum()
 
 
 def spectral_convergence(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
@@ -135,10 +182,9 @@ def spectral_convergence(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_ref.shape != s_hat.shape:
         raise ValueError(f"shape mismatch: {s_ref.shape} vs {s_hat.shape}")
-    den = np.linalg.norm(s_ref)
-    if den == 0.0:
-        raise ValueError("reference magnitudes are all zero (silent reference)")
-    return float(np.linalg.norm(s_hat - s_ref) / den)
+    diff = (s_hat - s_ref).ravel()
+    ref = s_ref.ravel()
+    return _convergence(diff @ diff, ref @ ref)
 
 
 def log_magnitude_l1(
@@ -157,8 +203,7 @@ def log_magnitude_l1(
         raise ValueError(f"shape mismatch: {s_ref.shape} vs {s_hat.shape}")
     if num_elements is None:
         num_elements = s_ref.size
-    diff = np.log(np.maximum(s_hat, floor)) - np.log(np.maximum(s_ref, floor))
-    return float(np.sum(np.abs(diff)) / num_elements)
+    return float(_log_distance(s_ref, s_hat, floor) / num_elements)
 
 
 def multi_res_stft(
@@ -166,20 +211,41 @@ def multi_res_stft(
 ) -> tuple[float, list[tuple[float, float]]]:
     """Sum of spectral-convergence and log-magnitude losses over resolutions.
 
-    Returns (total, per-resolution list of (sc, log_mag) pairs).  Both
-    waveforms must have equal length of at least the largest FFT size.
+    Returns (total, per-resolution list of (sc, log_mag) pairs), equal to
+    ``spectral_convergence`` and ``log_magnitude_l1`` of the ``stft_magnitude``
+    spectrograms.  Both waveforms must be finite and of equal length of at
+    least the largest FFT size.
+
+    No spectrogram is built: both signals are reflect-padded once into one
+    float64 buffer, and each resolution walks its frames in blocks of about
+    ``_BLOCK_SAMPLES`` samples per signal, adding each block's magnitudes to
+    three running sums.  Memory is O(signal + block): the [2, n + fft]
+    float64 buffer plus one block's frames, spectrum and magnitudes.
     """
-    x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x_hat = np.ravel(x_hat)
+    x = np.ravel(x)
     if x_hat.shape != x.shape:
         raise ValueError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
+    if not (np.isfinite(x_hat).all() and np.isfinite(x).all()):
+        raise ValueError("input contains non-finite values")
+    widest = max(cfg.fft_sizes)
+    padded = _reflect_pad([x_hat, x], widest)
     per_resolution: list[tuple[float, float]] = []
     total = 0.0
     for fft_size, hop in zip(cfg.fft_sizes, cfg.hop_sizes):
-        s_ref = stft_magnitude(x, fft_size, hop)
-        s_hat = stft_magnitude(x_hat, fft_size, hop)
-        sc = spectral_convergence(s_ref, s_hat)
-        mag = log_magnitude_l1(s_ref, s_hat, floor=cfg.magnitude_floor)
+        frames = _frames(padded, widest, fft_size, hop)
+        win = _hann_periodic(fft_size)
+        step = max(1, _BLOCK_SAMPLES // fft_size)
+        diff_energy = ref_energy = log_sum = 0.0
+        for start in range(0, frames.shape[1], step):
+            s_hat, s_ref = np.abs(np.fft.rfft(frames[:, start : start + step] * win))
+            diff = (s_hat - s_ref).ravel()
+            ref = s_ref.ravel()
+            diff_energy += diff @ diff
+            ref_energy += ref @ ref
+            log_sum += _log_distance(s_ref, s_hat, cfg.magnitude_floor)
+        sc = _convergence(diff_energy, ref_energy)
+        mag = float(log_sum / (frames.shape[1] * (fft_size // 2 + 1)))
         per_resolution.append((sc, mag))
         total += sc + mag
     return total, per_resolution

@@ -191,6 +191,33 @@ class TestScore:
         self.write_wave(b, np.zeros(4096))
         assert main(["score", "--ref", str(a), "--hyp", str(b)]) == 4
 
+    def score_rejected(self, tmp_path, capsys, ref, hyp):
+        a, b = tmp_path / "ref.jdf", tmp_path / "hyp.jdf"
+        self.write_wave(a, ref)
+        self.write_wave(b, hyp)
+        assert main(["score", "--ref", str(a), "--hyp", str(b)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_silent_reference_exits_4(self, tmp_path, capsys):
+        hyp = np.random.default_rng(2).standard_normal(4096)
+        err = self.score_rejected(tmp_path, capsys, np.zeros(4096), hyp)
+        assert "silent reference" in err
+
+    def test_shorter_than_largest_fft_exits_4(self, tmp_path, capsys):
+        x = np.random.default_rng(3).standard_normal(2047)
+        err = self.score_rejected(tmp_path, capsys, x, x)
+        assert "shorter than the fft size" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_exits_4(self, tmp_path, capsys, bad):
+        x = np.random.default_rng(4).standard_normal(4096)
+        y = x.copy()
+        y[100] = bad
+        err = self.score_rejected(tmp_path, capsys, x, y)
+        assert "non-finite" in err
+
 
 class TestMask:
     def test_mask_bytes_match_library(self, tmp_path, capsys):

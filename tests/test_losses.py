@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jdtok.losses import (
+    _BLOCK_SAMPLES,
     DiscriminatorOutputs,
     StftConfig,
     gan_losses,
@@ -233,6 +236,36 @@ class TestMultiResStft:
         with pytest.raises(ValueError):
             multi_res_stft(np.zeros(4096), np.zeros(4097))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["hyp", "ref"])
+    def test_non_finite_rejected(self, bad, which):
+        x = np.random.default_rng(17).standard_normal(4096)
+        y = x.copy()
+        (y if which == "hyp" else x)[1000] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            multi_res_stft(y, x)
+
+    def test_silent_reference_rejected(self):
+        with pytest.raises(ValueError, match="silent reference"):
+            multi_res_stft(np.ones(4096), np.zeros(4096))
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="shorter than the fft size"):
+            multi_res_stft(np.ones(2047), np.ones(2047))
+
+    def test_peak_memory_is_signal_plus_block(self):
+        # whole per-resolution spectrograms would peak near 13x the signal
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(240_000)
+        y = x + 0.1 * rng.standard_normal(x.size)
+        tracemalloc.start()
+        try:
+            multi_res_stft(y, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_nonnegative(self, seed):
@@ -242,6 +275,77 @@ class TestMultiResStft:
         total, per = multi_res_stft(y, x)
         assert total >= 0
         assert all(sc >= 0 and mag >= 0 for sc, mag in per)
+
+
+def composed_stft(x_hat, x, cfg=StftConfig()):
+    """Per-resolution (sc, log_mag) from the public spectrogram functions."""
+    per = []
+    for fft_size, hop in zip(cfg.fft_sizes, cfg.hop_sizes):
+        s_ref = stft_magnitude(x, fft_size, hop)
+        s_hat = stft_magnitude(x_hat, fft_size, hop)
+        per.append((
+            spectral_convergence(s_ref, s_hat),
+            log_magnitude_l1(s_ref, s_hat, floor=cfg.magnitude_floor),
+        ))
+    return per
+
+
+def block_boundary_lengths():
+    """Lengths that fill whole blocks at some resolution, and +-1 sample and frame."""
+    cfg = StftConfig()
+    lengths = []
+    for fft_size, hop in zip(cfg.fft_sizes, cfg.hop_sizes):
+        # frames = n // hop + 1 = 2 blocks of _BLOCK_SAMPLES // fft_size;
+        # n - 1 drops the last frame, n + hop adds a one-frame block
+        n = (2 * (_BLOCK_SAMPLES // fft_size) - 1) * hop
+        lengths += [n - 1, n, n + 1, n + hop]
+    return lengths
+
+
+class TestBlockedMatchesComposition:
+    """The blocked multi_res_stft against whole spectrograms, rtol 1e-12."""
+
+    def check(self, x_hat, x, cfg=StftConfig()):
+        total, per = multi_res_stft(x_hat, x, cfg)
+        want = composed_stft(x_hat, x, cfg)
+        np.testing.assert_allclose(per, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(total, sum(sc + mag for sc, mag in want), rtol=1e-12)
+
+    def noisy_pair(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        return x + 0.2 * rng.standard_normal(n), x
+
+    def test_length_equal_to_largest_fft(self):
+        self.check(*self.noisy_pair(2048, 19))
+
+    @pytest.mark.parametrize("n", block_boundary_lengths())
+    def test_block_boundaries(self, n):
+        self.check(*self.noisy_pair(n, n))
+
+    def test_odd_fft_sizes_and_hop_equal_to_fft(self):
+        cfg = StftConfig(fft_sizes=(301, 128, 33, 2), hop_sizes=(301, 40, 33, 2))
+        self.check(*self.noisy_pair(5000, 20), cfg)
+
+    def test_silent_stretches_engage_the_floor(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(20000)
+        y = x + 0.2 * rng.standard_normal(x.size)
+        x[3000:9000] = 0.0
+        y[6000:14000] = 0.0
+        floor = StftConfig().magnitude_floor
+        assert (stft_magnitude(x, 2048, 512) < floor).any()
+        assert (stft_magnitude(y, 2048, 512) < floor).any()
+        self.check(y, x)
+
+    def test_float32_inputs(self):
+        y, x = self.noisy_pair(9000, 22)
+        self.check(y.astype(np.float32), x.astype(np.float32))
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 2.0, 4.0])
+    def test_scaled_copies(self, a):
+        x = np.random.default_rng(23).standard_normal(12000)
+        self.check(a * x, x)
 
 
 class TestStftConfig:
