@@ -28,6 +28,8 @@ def main() -> None:
     print(f"{'G':>3} {'groups':>7} {'pads':>5} {'tokens/s':>9} "
           f"{'vocab':>10} {'bits/s':>9}")
     for group_size in (1, 2, 3, 4, 5, 6, 7, 8, 10, 16):
+        if group_size > args.dims:  # a group may not outnumber the dimensions
+            break
         scheme = build_scheme(levels, group_size=group_size)
         _, tps = token_rate(args.sample_rate, args.hop, scheme.group_count)
         vocab = scheme.group_products[0]

@@ -27,6 +27,15 @@ EXIT_VALIDATION = 4
 EXIT_IO = 5
 
 
+_BLOCK_FRAMES = 512  # frames per kernel call: temporaries stay cache-sized
+
+
+def _blocks(frames: int):
+    """Slices covering ``frames`` in order, ``_BLOCK_FRAMES`` at a time."""
+    for lo in range(0, frames, _BLOCK_FRAMES):
+        yield slice(lo, lo + _BLOCK_FRAMES)
+
+
 def _vocab_summary(products: tuple[int, ...]) -> str:
     runs: list[tuple[int, int]] = []
     for p in products:
@@ -46,8 +55,10 @@ def _cmd_tokenize(args) -> int:
             f"defines {cfg.levels.dim} quantizer dimensions"
         )
     scheme = build_scheme(cfg.levels, cfg.group_size)
-    indices, _ = fsq_quantize(data, cfg.levels)
-    tokens = pack_frames(indices.T, scheme)
+    tokens = np.empty((data.shape[1], scheme.group_count), dtype=np.uint64)
+    for block in _blocks(data.shape[1]):
+        indices, _ = fsq_quantize(data[:, block], cfg.levels)
+        tokens[block] = pack_frames(indices.T, scheme)
     stream = TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=frame_rate)
     fileio.write_token_file(args.out, stream)
     print(f"frames: {stream.frame_count}")
@@ -59,9 +70,12 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_detokenize(args) -> int:
     stream = fileio.read_token_file(args.infile)
-    indices = unpack_frames(stream.tokens, stream.scheme)
-    values = fsq_dequantize(indices.T, FsqLevels(stream.scheme.radices))
-    fileio.write_feature_file(args.out, values.astype(np.float32), stream.frame_rate_hz)
+    levels = FsqLevels(stream.scheme.radices)
+    values = np.empty((stream.scheme.dim, stream.frame_count), dtype=np.float32)
+    for block in _blocks(stream.frame_count):
+        indices = unpack_frames(stream.tokens[block], stream.scheme)
+        values[:, block] = fsq_dequantize(indices.T, levels)
+    fileio.write_feature_file(args.out, values, stream.frame_rate_hz)
     print(f"frames: {stream.frame_count}")
     print(f"dimensions: {stream.scheme.dim}")
     return EXIT_OK

@@ -7,7 +7,9 @@ rejected.  Recognized keys:
     sample_rate     int     audio sample rate in Hz (default 24000)
     hop             int     encoder hop in samples (default 9600)
     levels          [int]   quantizer levels per dimension (default 4 x 128)
-    group_size      int     dimensions packed per token (default 7)
+    group_size      int     dimensions packed per token (default 7; at most
+                            the number of levels, each group's vocabulary at
+                            most 2**64)
     lambda_stft     float   STFT loss weight (default 2.0)
     lambda_gan      float   GAN loss weight (default 0.1)
     temperature     float   accepted for config compatibility; has no effect
@@ -31,6 +33,7 @@ from .daam import DaamParams
 from .errors import ConfigError
 from .fsq import FsqLevels
 from .masking import MaskConfig
+from .radix import build_scheme
 
 __all__ = ["CodecConfig", "parse_config", "load_config", "DEFAULT_CONFIG"]
 
@@ -73,8 +76,10 @@ class CodecConfig:
             raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
         if self.hop < 1:
             raise ConfigError(f"hop must be >= 1, got {self.hop}")
-        if self.group_size < 1:
-            raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
+        try:
+            build_scheme(self.levels, self.group_size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 DEFAULT_CONFIG = CodecConfig()

@@ -80,16 +80,22 @@ def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytes, tupl
     return raw, tuple(fields)
 
 
+def _write(path, *parts) -> None:
+    """Write header bytes and C-contiguous arrays to ``path`` without joining them."""
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
+
+
 def write_feature_file(path, data: np.ndarray, frame_rate_hz: float) -> None:
     """Write a [C, T] float array as a feature file."""
-    data = np.asarray(data, dtype=np.float32)
+    data = np.ascontiguousarray(data, dtype="<f4")
     if data.ndim != 2:
         raise ValueError(f"expected a [C, T] array, got shape {data.shape}")
     header = _FEATURE_HEADER.pack(
         FEATURE_MAGIC, FORMAT_VERSION, data.shape[0], data.shape[1], float(frame_rate_hz)
     )
-    payload = np.ascontiguousarray(data).astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write(path, header, data)
 
 
 def read_feature_file(path) -> tuple[np.ndarray, float]:
@@ -132,9 +138,8 @@ def write_token_file(path, stream: TokenStream) -> None:
         stream.frame_count,
         float(stream.frame_rate_hz),
     )
-    radices = np.array(scheme.radices, dtype="<u2").tobytes()
-    payload = stream.tokens.astype(dtype).tobytes()
-    Path(path).write_bytes(header + radices + payload)
+    radices = np.array(scheme.radices, dtype="<u2")
+    _write(path, header, radices, np.ascontiguousarray(stream.tokens, dtype=dtype))
 
 
 def read_token_file(path) -> TokenStream:

@@ -70,27 +70,26 @@ def _lattice(index, level):
     return (2.0 * index - level + 1) / level
 
 
-def quantize_projected(
-    values: np.ndarray, levels
-) -> tuple[np.ndarray, np.ndarray]:
-    """Snap already-bounded [D, T] values to the nearest lattice point.
-
-    No tanh is applied.  Returns (indices, lattice values); ties break toward
-    the lower index.  Lattice points are fixed points: quantizing the output
-    values again reproduces the indices exactly.
-    """
-    levels = _as_levels(levels)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"expected a [D, T] array, got shape {values.shape}")
-    if values.shape[0] != levels.dim:
+def _check_rows(array: np.ndarray, levels: FsqLevels, what: str) -> None:
+    if array.ndim != 2:
+        raise ValueError(f"expected a [D, T] {what}, got shape {array.shape}")
+    if array.shape[0] != levels.dim:
         raise ValueError(
-            f"dimension mismatch: array has {values.shape[0]} rows, "
+            f"dimension mismatch: array has {array.shape[0]} rows, "
             f"levels define {levels.dim} dimensions"
         )
+
+
+def _finite_rows(values, levels: FsqLevels) -> np.ndarray:
+    """``values`` as float64, checked once for its [D, T] shape and finiteness."""
+    values = np.asarray(values, dtype=np.float64)
+    _check_rows(values, levels, "array")
     if not np.all(np.isfinite(values)):
         raise ValueError("input contains non-finite values")
+    return values
 
+
+def _snap(values: np.ndarray, levels: FsqLevels) -> tuple[np.ndarray, np.ndarray]:
     lvl = np.asarray(levels.levels, dtype=np.float64)[:, None]
     multi = lvl > 1  # a 1-level dimension has no upper neighbour
     indices = np.empty(values.shape, dtype=np.int64)
@@ -106,28 +105,35 @@ def quantize_projected(
     return indices, quantized
 
 
+def quantize_projected(
+    values: np.ndarray, levels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Snap already-bounded [D, T] values to the nearest lattice point.
+
+    No tanh is applied.  Returns (indices, lattice values); ties break toward
+    the lower index.  Lattice points are fixed points: quantizing the output
+    values again reproduces the indices exactly.
+    """
+    levels = _as_levels(levels)
+    return _snap(_finite_rows(values, levels), levels)
+
+
 def fsq_quantize(z: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     """Project raw [D, T] features through tanh and quantize to the lattice.
 
     Returns (indices, quantized values).
     """
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("input contains non-finite values")
-    return quantize_projected(np.tanh(z), levels)
+    levels = _as_levels(levels)
+    return _snap(np.tanh(_finite_rows(z, levels)), levels)
 
 
 def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
-    """Map [D, T] lattice indices back to their lattice values."""
+    """Map [D, T] integer lattice indices back to their lattice values."""
     levels = _as_levels(levels)
     indices = np.asarray(indices)
-    if indices.ndim != 2:
-        raise ValueError(f"expected a [D, T] index array, got shape {indices.shape}")
-    if indices.shape[0] != levels.dim:
-        raise ValueError(
-            f"dimension mismatch: array has {indices.shape[0]} rows, "
-            f"levels define {levels.dim} dimensions"
-        )
+    _check_rows(indices, levels, "index array")
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
     lvl = np.asarray(levels.levels)[:, None]
     bad = (indices < 0) | (indices >= lvl)
     if np.any(bad):

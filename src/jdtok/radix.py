@@ -17,7 +17,7 @@ uint64, and scheme construction rejects group products beyond 2**64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,27 +45,40 @@ class RadixScheme:
     """Grouping of per-dimension radices into packable token groups.
 
     ``radices`` holds one radix per real dimension; the final group is padded
-    with radix-1 dimensions up to a multiple of ``group_size``.  Derived
-    fields give the padded layout and per-group vocabularies.
+    with radix-1 dimensions up to a multiple of ``group_size``, which may not
+    exceed the dimension count.  The derived padded layout and per-group
+    vocabularies are computed once, at construction.
     """
 
     radices: tuple[int, ...]
     group_size: int
+    padded_radices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    group_radices: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    group_products: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radices", tuple(int(r) for r in self.radices))
-        if self.group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
-        if len(self.radices) < 1:
+        radices = tuple(int(r) for r in self.radices)
+        g = self.group_size
+        if g < 1:
+            raise ValueError(f"group_size must be >= 1, got {g}")
+        if len(radices) < 1:
             raise ValueError("need at least one dimension")
-        if any(r < 1 for r in self.radices):
-            raise ValueError(f"all radices must be >= 1, got {self.radices}")
-        for g, start in enumerate(range(0, len(self.padded_radices), self.group_size)):
-            prod = math.prod(self.padded_radices[start : start + self.group_size])
+        if g > len(radices):
+            raise ValueError(f"group_size {g} exceeds the {len(radices)} dimensions")
+        if any(r < 1 for r in radices):
+            raise ValueError(f"all radices must be >= 1, got {radices}")
+        padded = radices + (1,) * (-len(radices) % g)
+        groups = tuple(padded[i : i + g] for i in range(0, len(padded), g))
+        products = tuple(math.prod(group) for group in groups)
+        for i, prod in enumerate(products):
             if prod > MAX_GROUP_PRODUCT:
                 raise ValueError(
-                    f"group {g} product {prod} exceeds 2**64; use a smaller group size"
+                    f"group {i} product {prod} exceeds 2**64; use a smaller group size"
                 )
+        object.__setattr__(self, "radices", radices)
+        object.__setattr__(self, "padded_radices", padded)
+        object.__setattr__(self, "group_radices", groups)
+        object.__setattr__(self, "group_products", products)
 
     @property
     def dim(self) -> int:
@@ -73,25 +86,11 @@ class RadixScheme:
 
     @property
     def group_count(self) -> int:
-        return -(-self.dim // self.group_size)
+        return len(self.group_products)
 
     @property
     def pad_count(self) -> int:
-        return self.group_count * self.group_size - self.dim
-
-    @property
-    def padded_radices(self) -> tuple[int, ...]:
-        return self.radices + (1,) * self.pad_count
-
-    @property
-    def group_radices(self) -> tuple[tuple[int, ...], ...]:
-        padded = self.padded_radices
-        g = self.group_size
-        return tuple(padded[i : i + g] for i in range(0, len(padded), g))
-
-    @property
-    def group_products(self) -> tuple[int, ...]:
-        return tuple(math.prod(group) for group in self.group_radices)
+        return len(self.padded_radices) - self.dim
 
 
 def build_scheme(levels, group_size: int = 7) -> RadixScheme:
@@ -239,15 +238,16 @@ def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
     radices = np.array(scheme.padded_radices, dtype=np.uint64).reshape(
         scheme.group_count, scheme.group_size
     )
-    rem = tokens.copy()
-    digits = np.zeros(
-        (tokens.shape[0], scheme.group_count, scheme.group_size), dtype=np.uint64
+    # digit k of group g fills row g * group_size + k with frames along the
+    # row, so the [D, frames] transpose that dequantization reads is contiguous
+    digits = np.empty(
+        (scheme.group_count, scheme.group_size, tokens.shape[0]), dtype=np.int64
     )
-    for pos in range(scheme.group_size - 1, -1, -1):
-        digits[:, :, pos] = rem % radices[None, :, pos]
-        rem //= radices[None, :, pos]
-    flat = digits.reshape(tokens.shape[0], -1)[:, : scheme.dim]
-    return flat.astype(np.int64)
+    rem = tokens.T
+    for pos in range(scheme.group_size - 1, 0, -1):
+        rem, _ = np.divmod(rem, radices[:, pos, None], out=(None, digits[:, pos]))
+    digits[:, 0] = rem  # in range: every token is below its group product
+    return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
 
 
 def token_rate(sample_rate: float, hop: int, groups: int) -> tuple[float, float]:

@@ -1,20 +1,22 @@
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jdtok.cli import main
+from jdtok.cli import _BLOCK_FRAMES as B, main
 from jdtok.fileio import (
     read_feature_file,
     read_token_file,
     write_feature_file,
     write_token_file,
 )
-from jdtok.fsq import FsqLevels
+from jdtok.fsq import FsqLevels, fsq_dequantize, fsq_quantize
 from jdtok.masking import MaskConfig, generate_block_mask
-from jdtok.radix import TokenStream, build_scheme
+from jdtok.radix import TokenStream, build_scheme, pack_frames, unpack_frames
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
 
@@ -266,3 +268,135 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "47.5" in proc.stdout
+
+
+# (levels, group size): the default layout; uneven radices including 1 with
+# 37 dimensions, not a multiple of the group size; one 2**17-token group
+# (32-bit tokens)
+SCHEMES = {
+    "default": ([4] * 128, 7),
+    "uneven": ([1, 2, 3, 4, 5, 7, 8] * 5 + [3, 1], 5),
+    "u32": ([2] * 17, 17),
+}
+
+
+def whole_array_tokens(data, levels, group_size, rate):
+    """Token file bytes from one whole-array quantize and pack, joined by hand."""
+    scheme = build_scheme(levels, group_size)
+    indices, _ = fsq_quantize(data, FsqLevels(levels))
+    tokens = pack_frames(indices.T, scheme)
+    width = 16 if max(scheme.group_products) <= 1 << 16 else 32
+    header = struct.pack(
+        "<4sIIIIIQd", b"JDT1", 1, scheme.group_count, group_size, len(levels),
+        width, tokens.shape[0], rate,
+    )
+    payload = tokens.astype(f"<u{width // 8}").tobytes()
+    return header + np.array(levels, dtype="<u2").tobytes() + payload
+
+
+def whole_array_lattice(token_path):
+    """Feature file bytes from one whole-array unpack and dequantize."""
+    stream = read_token_file(token_path)
+    indices = unpack_frames(stream.tokens, stream.scheme)
+    values = fsq_dequantize(indices.T, FsqLevels(stream.scheme.radices))
+    header = struct.pack(
+        "<4sIIQd", b"JDF1", 1, values.shape[0], values.shape[1], stream.frame_rate_hz
+    )
+    return header + values.astype("<f4").tobytes()
+
+
+def write_config(path, levels, group_size):
+    path.write_text(f"levels = {list(levels)}\ngroup_size = {group_size}\n")
+    return str(path)
+
+
+class TestBlocks:
+    """The commands walk 512-frame blocks; their bytes must not show it."""
+
+    @pytest.mark.parametrize("frames", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("name", SCHEMES)
+    def test_matches_whole_array_composition(self, tmp_path, capsys, name, frames):
+        levels, group_size = SCHEMES[name]
+        cfg = write_config(tmp_path / "c.cfg", levels, group_size)
+        feat, tok, back = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "b.jdf"
+        data = write_features(feat, frames, channels=len(levels), seed=frames)
+        assert main(["tokenize", "--config", cfg, "--in", str(feat), "--out", str(tok)]) == 0
+        assert tok.read_bytes() == whole_array_tokens(data, levels, group_size, 2.5)
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 0
+        assert back.read_bytes() == whole_array_lattice(tok)
+        assert f"frames: {frames}" in capsys.readouterr().out
+
+    def test_nan_in_last_block_exits_4_without_output(self, tmp_path, capsys):
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        data = np.random.default_rng(6).standard_normal((128, 2 * B + 3)).astype(np.float32)
+        data[70, -1] = np.nan
+        write_feature_file(feat, data, 2.5)
+        assert main(["tokenize", "--config", CONFIG, "--in", str(feat), "--out", str(tok)]) == 4
+        assert not tok.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_bad_token_in_last_block_exits_4_without_output(self, tmp_path, capsys):
+        feat, tok, back = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "b.jdf"
+        write_features(feat, 2 * B + 3, seed=7)
+        assert main(["tokenize", "--config", CONFIG, "--in", str(feat), "--out", str(tok)]) == 0
+        raw = bytearray(tok.read_bytes())
+        raw[-2:] = (0xFFFF).to_bytes(2, "little")  # last frame, last group
+        tok.write_bytes(bytes(raw))
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 4
+        assert not back.exists()
+        assert f"frame {2 * B + 2}" in capsys.readouterr().err
+
+
+def traced_peak(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak allocation stays O(file + block) for a 20 000-frame stream."""
+
+    FRAMES = 20_000
+    PAYLOAD = 4 * 128 * FRAMES  # float32 feature payload, in and out
+
+    def test_detokenize_below_twice_the_output(self, tmp_path, capsys):
+        feat, tok, back = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "b.jdf"
+        write_features(feat, self.FRAMES)
+        assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 0
+        code, peak = traced_peak(["detokenize", "--in", str(tok), "--out", str(back)])
+        assert code == 0
+        assert peak < 2 * self.PAYLOAD
+
+    def test_tokenize_below_three_times_the_input(self, tmp_path, capsys):
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        write_features(feat, self.FRAMES)
+        code, peak = traced_peak(["tokenize", "--in", str(feat), "--out", str(tok)])
+        assert code == 0
+        assert peak < 3 * self.PAYLOAD
+
+
+class TestHostileTokenHeader:
+    @pytest.mark.parametrize("group_size", [10**6, 2**32 - 1])
+    def test_group_larger_than_dimensions_exits_3_in_bounded_memory(
+        self, tmp_path, capsys, group_size
+    ):
+        # 42 bytes: one dimension of radix 4 claiming one group of group_size
+        tok, back = tmp_path / "t.jdt", tmp_path / "b.jdf"
+        header = struct.pack("<4sIIIIIQd", b"JDT1", 1, 1, group_size, 1, 16, 0, 2.5)
+        tok.write_bytes(header + struct.pack("<H", 4))
+        code, peak = traced_peak(["detokenize", "--in", str(tok), "--out", str(back)])
+        assert code == 3
+        assert peak < 1 << 20
+        assert not back.exists()
+        assert "exceeds" in capsys.readouterr().err
+
+
+class TestConfigGroupSize:
+    def test_group_larger_than_dimensions_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text("levels = [4, 4, 4]\n")  # group_size defaults to 7
+        assert main(["info", "--config", str(cfg)]) == 2
+        assert "group_size" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +142,36 @@ class TestDequantize:
             idx = np.zeros((2, 5), dtype=np.int64)
             idx[1, 3] = 4
             fsq_dequantize(idx, FsqLevels((4, 4)))
+
+    @pytest.mark.parametrize("index", [-0.5, 0.5, 3.5, 3.9, True])
+    def test_rejects_non_integer_indices(self, index):
+        idx = np.zeros((2, 5), dtype=type(index))
+        idx[1, 3] = index
+        with pytest.raises(ValidationError, match="integers"):
+            fsq_dequantize(idx, FsqLevels((4, 4)))
+
+    @pytest.mark.parametrize("frames", [1, 2, 300])
+    def test_matches_lattice_for_mixed_levels(self, frames):
+        levels = FsqLevels((4, 1, 7, 2, 16, 3))
+        rng = np.random.default_rng(frames)
+        idx = np.stack([rng.integers(0, ld, size=frames) for ld in levels.levels])
+        values = fsq_dequantize(idx, levels)
+        for d, ld in enumerate(levels.levels):
+            assert np.array_equal(values[d], fsq_boundaries(ld)[idx[d]])
+
+    def test_wide_levels_stay_bounded(self):
+        # a token file may declare 65535 levels per dimension; memory must
+        # follow the index array, not the level counts
+        levels = FsqLevels((65535,) * 1000)
+        idx = np.full((1000, 1), 65534)
+        tracemalloc.start()
+        try:
+            values = fsq_dequantize(idx, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.all(values == fsq_boundaries(65535)[-1])
 
     def test_round_trip_is_idempotent(self):
         rng = np.random.default_rng(1)

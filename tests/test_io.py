@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ class TestTokenFile:
             write_token_file(p, TokenStream(tokens, scheme, 2.5))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_group_larger_than_dimensions_rejected(self, tmp_path):
+        path = tmp_path / "g.jdt"
+        header = struct.pack("<4sIIIIIQd", b"JDT1", 1, 1, 10**6, 1, 16, 0, 2.5)
+        path.write_bytes(header + struct.pack("<H", 4))
+        with pytest.raises(FormatError, match="exceeds the 1 dimensions"):
+            read_token_file(path)
+
     @pytest.mark.parametrize("rate", BAD_RATES)
     def test_unusable_frame_rate_rejected(self, tmp_path, rate):
         scheme = build_scheme([4, 4], group_size=2)
@@ -229,6 +238,17 @@ class TestConfig:
     def test_invalid_configs(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_group_larger_than_dimensions(self):
+        with pytest.raises(ConfigError, match="group_size"):
+            parse_config("levels = [4, 4, 4]\n")  # group_size defaults to 7
+        assert parse_config("levels = [4, 4, 4]\ngroup_size = 3\n").group_size == 3
+
+    def test_group_vocabulary_beyond_64_bits(self):
+        # the packing scheme's own limits surface as configuration errors
+        with pytest.raises(ConfigError, match="exceeds 2\\*\\*64"):
+            parse_config("levels = [65535, 65535, 65535, 65535, 65535]\ngroup_size = 5\n")
+        assert parse_config("levels = [65535, 65535, 65535, 65535]\ngroup_size = 4\n")
 
     def test_temperature_accepted_but_inert(self):
         cfg = parse_config("temperature = 0.7")

@@ -139,6 +139,22 @@ class TestScheme:
         with pytest.raises(ValueError):
             RadixScheme(radices=(4, 0), group_size=2)
 
+    def test_group_larger_than_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the 2 dimensions"):
+            RadixScheme(radices=(4, 4), group_size=3)
+        assert RadixScheme(radices=(4, 4), group_size=2).group_count == 1
+
+    def test_derived_layout_built_once(self):
+        scheme = build_scheme([5, 4, 3, 2, 7], group_size=3)
+        assert scheme.padded_radices == (5, 4, 3, 2, 7, 1)
+        assert scheme.group_radices == ((5, 4, 3), (2, 7, 1))
+        assert scheme.group_products == (60, 14)
+        assert scheme.group_radices is scheme.group_radices
+        # derived fields take no part in equality, hashing or repr
+        assert scheme == RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3)
+        assert hash(scheme) == hash(RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3))
+        assert repr(scheme) == "RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3)"
+
 
 class TestFrames:
     def test_frame_layout_and_round_trip(self):
@@ -166,6 +182,12 @@ class TestFrames:
             assert list(tokens[f]) == pack_frame(list(frames[f]), scheme)
         back = unpack_frames(tokens, scheme)
         np.testing.assert_array_equal(back, frames)
+
+    def test_empty_stream(self):
+        scheme = build_scheme([5, 4, 3, 2, 7], group_size=3)
+        back = unpack_frames(np.zeros((0, 2), dtype=np.uint64), scheme)
+        assert back.shape == (0, 5)
+        assert pack_frames(back, scheme).shape == (0, 2)
 
     def test_bulk_round_trip(self):
         scheme = build_scheme(FsqLevels(), group_size=7)
