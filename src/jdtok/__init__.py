@@ -37,11 +37,9 @@ from .radix import (
     RadixScheme,
     TokenStream,
     build_scheme,
-    pack_frame,
     pack_frames,
     pack_group,
     token_rate,
-    unpack_frame,
     unpack_frames,
     unpack_group,
 )

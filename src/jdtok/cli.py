@@ -18,13 +18,22 @@ from .errors import ConfigError, FormatError, ValidationError
 from .fsq import FsqLevels, fsq_dequantize, fsq_quantize
 from .losses import StftConfig, l1_loss, multi_res_stft
 from .masking import MaskConfig, generate_block_mask, masked_fraction
-from .radix import TokenStream, build_scheme, pack_frames, token_rate, unpack_frames
+from .radix import TokenStream, pack_frames, token_rate, unpack_frames
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FORMAT = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
+
+# the first entry the error is an instance of wins, so the ValueError
+# subclasses come before ValueError itself
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    FormatError: EXIT_FORMAT,
+    ValueError: EXIT_VALIDATION,  # ValidationError and any other bad value
+    OSError: EXIT_IO,
+}
 
 
 _BLOCK_FRAMES = 512  # frames per kernel call: temporaries stay cache-sized
@@ -54,7 +63,7 @@ def _cmd_tokenize(args) -> int:
             f"feature file has {data.shape[0]} channels but the configuration "
             f"defines {cfg.levels.dim} quantizer dimensions"
         )
-    scheme = build_scheme(cfg.levels, cfg.group_size)
+    scheme = cfg.scheme
     tokens = np.empty((data.shape[1], scheme.group_count), dtype=np.uint64)
     for block in _blocks(data.shape[1]):
         indices, _ = fsq_quantize(data[:, block], cfg.levels)
@@ -83,7 +92,7 @@ def _cmd_detokenize(args) -> int:
 
 def _cmd_info(args) -> int:
     cfg = load_config(args.config)
-    scheme = build_scheme(cfg.levels, cfg.group_size)
+    scheme = cfg.scheme
     frame_rate, tps = token_rate(cfg.sample_rate, cfg.hop, scheme.group_count)
     vocab = scheme.group_products[0]
     _, baseline = token_rate(cfg.sample_rate, cfg.hop, cfg.levels.dim)
@@ -107,10 +116,6 @@ def _cmd_score(args) -> int:
         raise ValidationError("score expects mono waveforms (channel count 1)")
     if ref_rate != hyp_rate:
         raise ValidationError(f"sample rate mismatch: {ref_rate:g} vs {hyp_rate:g}")
-    if ref.shape[1] != hyp.shape[1]:
-        raise ValidationError(
-            f"length mismatch: {ref.shape[1]} vs {hyp.shape[1]} samples"
-        )
     rec = l1_loss(hyp[0], ref[0])
     stft_cfg = StftConfig()
     stft_total, per_res = multi_res_stft(hyp[0], ref[0], stft_cfg)
@@ -192,18 +197,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -24,16 +24,14 @@ rejected.  Recognized keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
 
 from .daam import DaamParams
 from .errors import ConfigError
 from .fsq import FsqLevels
 from .masking import MaskConfig
-from .radix import build_scheme
+from .radix import RadixScheme, build_scheme
 
 __all__ = ["CodecConfig", "parse_config", "load_config", "DEFAULT_CONFIG"]
 
@@ -70,6 +68,7 @@ class CodecConfig:
     temperature: float = 1.0  # accepted for compatibility, unused
     daam: DaamParams = DaamParams.init(4)
     mask: MaskConfig = MaskConfig()
+    scheme: RadixScheme = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sample_rate < 1:
@@ -77,9 +76,10 @@ class CodecConfig:
         if self.hop < 1:
             raise ConfigError(f"hop must be >= 1, got {self.hop}")
         try:
-            build_scheme(self.levels, self.group_size)
+            scheme = build_scheme(self.levels, self.group_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "scheme", scheme)
 
 
 DEFAULT_CONFIG = CodecConfig()
@@ -106,6 +106,11 @@ def _parse_value(key: str, text: str):
     raise ConfigError(f"unknown configuration key {key!r}")
 
 
+def _given(values: dict, **fields: str) -> dict:
+    """The values the text sets, keyed by the field each key fills."""
+    return {name: values[key] for name, key in fields.items() if key in values}
+
+
 def parse_config(text: str) -> CodecConfig:
     """Parse configuration text into a :class:`CodecConfig`."""
     values: dict[str, object] = {}
@@ -121,42 +126,23 @@ def parse_config(text: str) -> CodecConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, value)
 
-    k = int(values.get("daam.k", 4))
-    delta = values.get("daam.delta")
-    nu = values.get("daam.nu")
-    if delta is not None and len(delta) != k:
-        raise ConfigError(f"daam.delta has {len(delta)} entries but daam.k = {k}")
-    if nu is not None and len(nu) != k:
-        raise ConfigError(f"daam.nu has {len(nu)} entries but daam.k = {k}")
     try:
-        daam = DaamParams(
-            mean_offsets=np.asarray(delta, dtype=np.float64)
-            if delta is not None
-            else np.zeros(k),
-            log_scales=np.asarray(nu, dtype=np.float64)
-            if nu is not None
-            else np.full(k, np.log(0.5)),
-            gate_strength=float(values.get("daam.alpha", 0.05)),
-        )
+        daam = DaamParams.init(**_given(values, k="daam.k", gate_strength="daam.alpha"))
+        k = daam.num_components
+        for key in ("daam.delta", "daam.nu"):
+            if key in values and len(values[key]) != k:
+                raise ConfigError(f"{key} has {len(values[key])} entries but daam.k = {k}")
+        daam = replace(daam, **_given(values, mean_offsets="daam.delta", log_scales="daam.nu"))
         mask = MaskConfig(
-            mask_ratio=float(values.get("mask.ratio", 0.5)),
-            span_min=int(values.get("mask.span_min", 2)),
-            span_max=values.get("mask.span_max"),
+            **_given(
+                values, mask_ratio="mask.ratio", span_min="mask.span_min", span_max="mask.span_max"
+            )
         )
-        levels = (
-            FsqLevels(tuple(values["levels"])) if "levels" in values else FsqLevels()
-        )
-        return CodecConfig(
-            sample_rate=int(values.get("sample_rate", 24000)),
-            hop=int(values.get("hop", 9600)),
-            levels=levels,
-            group_size=int(values.get("group_size", 7)),
-            lambda_stft=float(values.get("lambda_stft", 2.0)),
-            lambda_gan=float(values.get("lambda_gan", 0.1)),
-            temperature=float(values.get("temperature", 1.0)),
-            daam=daam,
-            mask=mask,
-        )
+        # keys without a dot are CodecConfig's own fields
+        top = {key: value for key, value in values.items() if "." not in key}
+        if "levels" in top:
+            top["levels"] = FsqLevels(tuple(top["levels"]))
+        return CodecConfig(**top, daam=daam, mask=mask)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -34,6 +34,7 @@ larger vocabularies are not serializable.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -61,12 +62,17 @@ _FEATURE_HEADER = struct.Struct("<4sIIQd")
 _TOKEN_HEADER = struct.Struct("<4sIIIIIQd")
 
 
-def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytes, tuple]:
+def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytearray, tuple]:
     """Read a container and check its fixed header: size, magic, version, rate.
 
-    Returns the raw bytes and the header fields after magic and version.
+    Returns the raw bytes, read once into one writable buffer, and the header
+    fields after magic and version.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        raw = bytearray(os.fstat(f.fileno()).st_size)
+        if f.readinto(raw) != len(raw):
+            raise FormatError(f"{path}: file shrank while it was read")
+        raw += f.read()  # empty for a regular file; all of a pipe, whose size is 0
     if len(raw) < header.size:
         raise FormatError(f"{path}: truncated header")
     found, version, *fields = header.unpack_from(raw)
@@ -109,7 +115,7 @@ def read_feature_file(path) -> tuple[np.ndarray, float]:
             f"header ({channels} x {frames} float32)"
         )
     payload = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size)
-    return payload.reshape(channels, frames).copy(), frame_rate
+    return payload.reshape(channels, frames), frame_rate
 
 
 def write_token_file(path, stream: TokenStream) -> None:

@@ -30,8 +30,6 @@ __all__ = [
     "build_scheme",
     "pack_group",
     "unpack_group",
-    "pack_frame",
-    "unpack_frame",
     "pack_frames",
     "unpack_frames",
     "token_rate",
@@ -102,6 +100,21 @@ def build_scheme(levels, group_size: int = 7) -> RadixScheme:
     return RadixScheme(radices=radices, group_size=group_size)
 
 
+def _check_vocabulary(tokens: np.ndarray, scheme: RadixScheme) -> None:
+    """Reject the first uint64 token above its group's largest, ``product - 1``.
+
+    The largest token always fits in uint64, even for a 2**64 vocabulary.
+    """
+    largest = np.array([p - 1 for p in scheme.group_products], dtype=np.uint64)
+    bad = tokens > largest
+    if np.any(bad):
+        f, g = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"token {tokens[f, g]} at frame {f}, group {g} exceeds the group "
+            f"vocabulary {scheme.group_products[g]}"
+        )
+
+
 @dataclass(frozen=True)
 class TokenStream:
     """A [frames, groups] block of packed tokens plus its scheme and rate."""
@@ -119,14 +132,7 @@ class TokenStream:
                 f"token columns ({tokens.shape[1]}) != scheme group count "
                 f"({self.scheme.group_count})"
             )
-        products = np.array(self.scheme.group_products, dtype=np.uint64)
-        bad = tokens >= products[None, :]
-        if np.any(bad):
-            f, g = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"token {tokens[f, g]} at frame {f}, group {g} exceeds the group "
-                f"vocabulary {self.scheme.group_products[g]}"
-            )
+        _check_vocabulary(tokens, self.scheme)
         object.__setattr__(self, "tokens", tokens)
 
     @property
@@ -169,32 +175,8 @@ def unpack_group(token: int, radices) -> list[int]:
     return digits
 
 
-def pack_frame(indices, scheme: RadixScheme) -> list[int]:
-    """Pack one frame of D per-dimension indices into group tokens."""
-    indices = list(indices)
-    if len(indices) != scheme.dim:
-        raise ValueError(f"expected {scheme.dim} indices, got {len(indices)}")
-    padded = indices + [0] * scheme.pad_count
-    g = scheme.group_size
-    return [
-        pack_group(padded[i : i + g], group)
-        for i, group in zip(range(0, len(padded), g), scheme.group_radices)
-    ]
-
-
-def unpack_frame(tokens, scheme: RadixScheme) -> list[int]:
-    """Invert :func:`pack_frame`, dropping the pad digits."""
-    tokens = list(tokens)
-    if len(tokens) != scheme.group_count:
-        raise ValueError(f"expected {scheme.group_count} tokens, got {len(tokens)}")
-    digits: list[int] = []
-    for token, group in zip(tokens, scheme.group_radices):
-        digits.extend(unpack_group(token, group))
-    return digits[: scheme.dim]
-
-
 def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
-    """Vectorized :func:`pack_frame` over a [frames, D] index array."""
+    """Pack a [frames, D] index array into [frames, groups] tokens (:func:`pack_group`)."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 2 or indices.shape[1] != scheme.dim:
         raise ValueError(
@@ -221,20 +203,13 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
 
 
 def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
-    """Vectorized :func:`unpack_frame` over a [frames, groups] token array."""
+    """Invert :func:`pack_frames`, dropping the pad digits."""
     tokens = np.asarray(tokens, dtype=np.uint64)
     if tokens.ndim != 2 or tokens.shape[1] != scheme.group_count:
         raise ValueError(
             f"expected a [frames, {scheme.group_count}] token array, got shape {tokens.shape}"
         )
-    products = np.array(scheme.group_products, dtype=np.uint64)
-    bad = tokens >= products[None, :]
-    if np.any(bad):
-        f, g = np.argwhere(bad)[0]
-        raise ValidationError(
-            f"token {tokens[f, g]} at frame {f}, group {g} exceeds the group "
-            f"vocabulary {scheme.group_products[g]}"
-        )
+    _check_vocabulary(tokens, scheme)
     radices = np.array(scheme.padded_radices, dtype=np.uint64).reshape(
         scheme.group_count, scheme.group_size
     )

@@ -64,6 +64,33 @@ class TestTokenize:
         assert not tok.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_truncated_payload_exits_3_without_output(self, tmp_path, capsys):
+        feat = tmp_path / "f.jdf"
+        tok = tmp_path / "t.jdt"
+        write_features(feat, 4)
+        feat.write_bytes(feat.read_bytes()[:-4])
+        assert main(["tokenize", "--config", CONFIG, "--in", str(feat), "--out", str(tok)]) == 3
+        assert not tok.exists()
+        assert "payload size" in capsys.readouterr().err
+
+    def test_reads_features_from_a_pipe(self, tmp_path):
+        feat = tmp_path / "f.jdf"
+        tok = tmp_path / "t.jdt"
+        write_features(feat, 3)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jdtok", "tokenize", "--in", "/dev/stdin", "--out", str(tok)],
+            input=feat.read_bytes(),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_token_file(tok).frame_count == 3
+
+    def test_missing_input_exits_5(self, tmp_path, capsys):
+        tok = tmp_path / "t.jdt"
+        assert main(["tokenize", "--in", str(tmp_path / "absent.jdf"), "--out", str(tok)]) == 5
+        assert not tok.exists()
+        assert "absent.jdf" in capsys.readouterr().err
+
     def test_channel_mismatch_exits_4(self, tmp_path, capsys):
         feat = tmp_path / "f.jdf"
         write_features(feat, 5, channels=64)
@@ -400,3 +427,22 @@ class TestConfigGroupSize:
         cfg.write_text("levels = [4, 4, 4]\n")  # group_size defaults to 7
         assert main(["info", "--config", str(cfg)]) == 2
         assert "group_size" in capsys.readouterr().err
+
+
+class TestFullWidthVocabulary:
+    def test_tokenize_exits_3_without_output_or_traceback(self, tmp_path):
+        # [2] * 64 in one group: a 2**64 vocabulary, beyond the 32-bit width
+        cfg = write_config(tmp_path / "c.cfg", [2] * 64, 64)
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        write_features(feat, 3, channels=64)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jdtok", "tokenize", "--config", cfg,
+             "--in", str(feat), "--out", str(tok)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "exceeds the 32-bit token width" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not tok.exists()

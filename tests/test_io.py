@@ -1,9 +1,13 @@
+import dataclasses
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jdtok.config import CodecConfig, load_config, parse_config
+from jdtok.daam import DaamParams
 from jdtok.errors import ConfigError, FormatError, ValidationError
 from jdtok.fileio import (
     FEATURE_MAGIC,
@@ -66,6 +70,20 @@ class TestFeatureFile:
         back, rate = read_feature_file(path)
         assert back.shape == (7, 11)
         assert rate == 12.5
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        path = tmp_path / "big.jdf"
+        data = np.random.default_rng(5).standard_normal((128, 20_000)).astype(np.float32)
+        write_feature_file(path, data, 2.5)
+        tracemalloc.start()
+        try:
+            back, _ = read_feature_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.nbytes
+        np.testing.assert_array_equal(back, data)
+        assert back.flags.writeable
 
     @pytest.mark.parametrize("rate", BAD_RATES)
     def test_unusable_frame_rate_rejected(self, tmp_path, rate):
@@ -230,6 +248,8 @@ class TestConfig:
             "sample_rate = notanumber",
             "levels = 4",
             "daam.k = 2\ndaam.delta = [0.0, 0.0, 0.0]",
+            "daam.k = 2\ndaam.delta = [0.0, 0.0, 0.0]\ndaam.nu = [0.0, 0.0, 0.0]",
+            "daam.nu = [0.0, 0.0, 0.0]",  # daam.k defaults to 4
             "sample_rate = 1\nsample_rate = 2",
             "mask.ratio = 1.5",
             "just some words",
@@ -255,3 +275,50 @@ class TestConfig:
         assert cfg.temperature == 0.7
         # nothing else changes relative to defaults
         assert cfg.levels.levels == CodecConfig().levels.levels
+
+
+def assert_same_config(a: CodecConfig, b: CodecConfig) -> None:
+    """Field-by-field equality, comparing the gate's arrays by value."""
+    for f in dataclasses.fields(CodecConfig):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "daam":
+            for g in dataclasses.fields(DaamParams):
+                np.testing.assert_array_equal(getattr(x, g.name), getattr(y, g.name))
+        else:
+            assert x == y, f.name
+
+
+class TestConfigDefaults:
+    """Each default lives only in the dataclass that owns its field."""
+
+    def test_empty_text_gives_the_defaults(self):
+        assert_same_config(parse_config(""), CodecConfig())
+
+    def test_canonical_file_gives_the_defaults(self):
+        assert_same_config(
+            load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg"),
+            CodecConfig(),
+        )
+
+    def test_unset_gate_keys_take_the_gate_defaults(self):
+        cfg = parse_config("daam.k = 2\ndaam.alpha = 0.2")
+        want = DaamParams.init(2, gate_strength=0.2)
+        for g in dataclasses.fields(DaamParams):
+            np.testing.assert_array_equal(getattr(cfg.daam, g.name), getattr(want, g.name))
+
+
+class TestConfigScheme:
+    def test_scheme_is_built_from_levels_and_group_size(self):
+        cfg = parse_config("levels = [5, 4, 3, 2, 7]\ngroup_size = 3")
+        assert cfg.scheme == build_scheme(cfg.levels, cfg.group_size)
+        assert cfg.scheme.group_products == (60, 14)
+        assert dataclasses.replace(cfg, group_size=1).scheme.group_count == 5
+
+    def test_scheme_is_derived_not_given(self):
+        cfg = CodecConfig()
+        assert "scheme" not in repr(cfg)
+        twin = CodecConfig(daam=cfg.daam)
+        object.__setattr__(twin, "scheme", build_scheme(cfg.levels, 1))
+        assert twin == cfg
+        with pytest.raises(TypeError):
+            CodecConfig(scheme=cfg.scheme)

@@ -11,11 +11,9 @@ from jdtok.radix import (
     RadixScheme,
     TokenStream,
     build_scheme,
-    pack_frame,
     pack_frames,
     pack_group,
     token_rate,
-    unpack_frame,
     unpack_frames,
     unpack_group,
 )
@@ -27,6 +25,30 @@ def positional_value(indices, radices):
     for k, i in enumerate(indices):
         total += i * math.prod(radices[k + 1 :])
     return total
+
+
+def pack_frame(indices, scheme: RadixScheme) -> list[int]:
+    """Scalar oracle: pack one frame of D indices, group by group."""
+    indices = list(indices)
+    if len(indices) != scheme.dim:
+        raise ValueError(f"expected {scheme.dim} indices, got {len(indices)}")
+    padded = indices + [0] * scheme.pad_count
+    g = scheme.group_size
+    return [
+        pack_group(padded[i : i + g], group)
+        for i, group in zip(range(0, len(padded), g), scheme.group_radices)
+    ]
+
+
+def unpack_frame(tokens, scheme: RadixScheme) -> list[int]:
+    """Scalar oracle: invert :func:`pack_frame`, dropping the pad digits."""
+    tokens = list(tokens)
+    if len(tokens) != scheme.group_count:
+        raise ValueError(f"expected {scheme.group_count} tokens, got {len(tokens)}")
+    digits: list[int] = []
+    for token, group in zip(tokens, scheme.group_radices):
+        digits.extend(unpack_group(token, group))
+    return digits[: scheme.dim]
 
 
 class TestPackGroup:
@@ -224,6 +246,33 @@ class TestTokenStream:
         )
         assert stream.tokens_per_second == 47.5
         assert stream.frame_count == 4
+
+
+class TestVocabularyBound:
+    """Each group accepts tokens up to its largest, product - 1, and no further."""
+
+    @pytest.mark.parametrize("check", ["stream", "unpack"])
+    def test_largest_token_accepted_next_rejected(self, check):
+        scheme = build_scheme([5, 4, 3, 2, 7], group_size=3)  # products 60, 14
+
+        def run(tokens):
+            if check == "stream":
+                return TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=2.5)
+            return unpack_frames(tokens, scheme)
+
+        run(np.array([[59, 13]], dtype=np.uint64))
+        with pytest.raises(ValidationError, match="group 1 exceeds the group vocabulary 14"):
+            run(np.array([[59, 14]], dtype=np.uint64))
+
+    def test_full_width_vocabulary_round_trips(self):
+        # 2**64 tokens per group: the all-ones frame packs to 2**64 - 1
+        scheme = build_scheme([2] * 64, group_size=64)
+        assert scheme.group_products == (1 << 64,)
+        frame = np.ones((1, 64), dtype=np.int64)
+        tokens = pack_frames(frame, scheme)
+        assert int(tokens[0, 0]) == (1 << 64) - 1
+        stream = TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=2.5)
+        np.testing.assert_array_equal(unpack_frames(stream.tokens, scheme), frame)
 
 
 class TestTokenRate:
