@@ -8,6 +8,7 @@ streams), 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -103,7 +104,7 @@ def _cmd_info(args) -> int:
     )
     print(f"tokens/sec: {tps:g}")
     print(f"per-token vocabulary: {vocab}")
-    print(f"bits/sec: {tps * float(np.log2(vocab)):g}")
+    print(f"bits/sec: {tps * math.log2(vocab):g}")
     print(f"no-packing baseline: {baseline:g} tokens/sec ({cfg.levels.dim} dims)")
     return EXIT_OK
 

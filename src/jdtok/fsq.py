@@ -8,14 +8,31 @@ integer per dimension.
 
 ``quantize_projected`` skips the tanh and operates on already-bounded values;
 it is the entry point for re-quantizing dequantized lattice values, for which
-it is exactly idempotent.  The snap brackets v between lattice points j and
-j + 1, j = floor((v L + L - 1) / 2), and moves up only when j + 1 is strictly
-closer, so ties at midpoints and float neighbours of midpoints whose two
-distances round equal go to the lower index, exactly as an argmin would.
+it is exactly idempotent.
+
+Neither snap evaluates tanh or a distance per value.  Both compare the raw
+input with a table of L - 1 input-space thresholds, cached per level count,
+map (tanh or identity) and float width.  Threshold tau_j is the smallest
+float64 x whose image f(x) is strictly nearer lattice point j + 1 than j,
+|f(x) - c[j+1]| < |f(x) - c[j]|, in the float arithmetic an argmin over the
+distances uses.  The table is exact because that predicate is monotone in x:
+f is non-decreasing (np.tanh is, on every float32; see
+scripts/fsq_threshold_check.py), and as f(x) rises the rounded distance to
+c[j+1] never grows while the one to c[j] never shrinks.  So a bisection over
+the ordered bit patterns of float64 finds each tau_j, and the index of x is
+the number of thresholds <= x: the nearest point, ties at midpoints going to
+the lower index as an argmin's would.  The bisection brackets [-20, 20]:
+beyond it tanh is +-1 in float64 and the identity is nearest the outermost
+point, even where both rounded distances of a huge value are equal.  A
+float32 table holds each tau_j rounded up to float32, so a float32 input
+compares exactly as its float64 value would, without an upcast.  The count
+is one branchless binary search over the table, padded with +inf to a power
+of two: log2(L) passes of one gather and one comparison.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +47,6 @@ __all__ = [
     "fsq_dequantize",
     "straight_through",
 ]
-
-_CHUNK = 512  # time-axis chunk: keeps the snap's temporaries cache-sized
-
 
 @dataclass(frozen=True)
 class FsqLevels:
@@ -81,27 +95,93 @@ def _check_rows(array: np.ndarray, levels: FsqLevels, what: str) -> None:
 
 
 def _finite_rows(values, levels: FsqLevels) -> np.ndarray:
-    """``values`` as float64, checked once for its [D, T] shape and finiteness."""
-    values = np.asarray(values, dtype=np.float64)
+    """``values`` checked once for its [D, T] shape and finiteness.
+
+    float32 stays float32, since the float32 tables compare it exactly;
+    anything else becomes float64.
+    """
+    values = np.asarray(values)
+    if values.dtype != np.float32:
+        values = values.astype(np.float64, copy=False)
     _check_rows(values, levels, "array")
     if not np.all(np.isfinite(values)):
         raise ValueError("input contains non-finite values")
     return values
 
 
-def _snap(values: np.ndarray, levels: FsqLevels) -> tuple[np.ndarray, np.ndarray]:
-    lvl = np.asarray(levels.levels, dtype=np.float64)[:, None]
-    multi = lvl > 1  # a 1-level dimension has no upper neighbour
+def _identity(values):
+    return values
+
+
+_BRACKET = 20.0  # tanh(+-20) is +-1 in float64: both maps are settled beyond
+_MAGNITUDE = np.int64(2**63 - 1)
+
+
+def _ordered(bits: np.ndarray) -> np.ndarray:
+    """float64 bit patterns <-> int64 keys in the floats' order (an involution)."""
+    return bits ^ ((bits >> 63) & _MAGNITUDE)
+
+
+@functools.lru_cache(maxsize=64)
+def _thresholds(level: int, transform, dtype) -> np.ndarray:
+    """The ascending thresholds tau_j for ``level`` levels, read-only.
+
+    +inf pads the table to a power of two P >= ``level``.  A float32 table
+    rounds each float64 threshold up, so that for a float32 x,
+    x >= float32 tau_j exactly when float64(x) >= tau_j.
+    """
+    if dtype == np.float32:
+        exact = _thresholds(level, transform, np.float64)
+        table = exact.astype(np.float32)
+        low = table < exact
+        table[low] = np.nextafter(table[low], np.float32(np.inf))
+    else:
+        below = _lattice(np.arange(level - 1), level)
+        above = _lattice(np.arange(1, level), level)
+        bracket = _ordered(np.array([-_BRACKET, _BRACKET]).view(np.int64))
+        lo = np.full(level - 1, bracket[0])  # the predicate is false here
+        hi = np.full(level - 1, bracket[1])  # and true here
+        for _ in range(64):  # the bracket spans fewer than 2**64 keys
+            mid = (lo & hi) + ((lo ^ hi) >> 1)  # floor((lo + hi) / 2), no overflow
+            image = transform(_ordered(mid).view(np.float64))
+            nearer = np.abs(image - above) < np.abs(image - below)
+            hi = np.where(nearer, mid, hi)
+            lo = np.where(nearer, lo, mid)
+        table = np.full(1 << (level - 1).bit_length(), np.inf)
+        table[: level - 1] = _ordered(hi).view(np.float64)
+    table.flags.writeable = False
+    return table
+
+
+def _count_thresholds(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The number of ``table`` entries <= x, for each x: one binary search."""
+    step = table.size // 2
+    if step == 0:
+        return np.zeros(x.shape, dtype=np.int64)
+    index = np.multiply(x >= table[step - 1], step, dtype=np.int64)
+    while step > 1:
+        step //= 2
+        # index is a multiple of 2 * step, so index + step - 1 stays in the table
+        index += (x >= table[step - 1 :].take(index)) * step
+    return index
+
+
+def _snap(x: np.ndarray, level: int, transform) -> tuple[np.ndarray, np.ndarray]:
+    index = _count_thresholds(x, _thresholds(level, transform, x.dtype.type))
+    return index, _lattice(np.arange(level), level).take(index)
+
+
+def _quantize(values, levels, transform) -> tuple[np.ndarray, np.ndarray]:
+    levels = _as_levels(levels)
+    values = _finite_rows(values, levels)
+    distinct = set(levels.levels)
+    if len(distinct) == 1:  # the usual case: no gather or scatter of rows
+        return _snap(values, levels.levels[0], transform)
     indices = np.empty(values.shape, dtype=np.int64)
     quantized = np.empty(values.shape)
-    for lo in range(0, values.shape[1], _CHUNK):
-        v = values[:, lo : lo + _CHUNK]
-        j = np.clip(np.floor((v * lvl + lvl - 1) / 2), 0, np.maximum(lvl - 2, 0))
-        below = _lattice(j, lvl)
-        above = _lattice(j + 1, lvl)
-        up = (np.abs(v - above) < np.abs(v - below)) & multi
-        indices[:, lo : lo + _CHUNK] = j + up
-        quantized[:, lo : lo + _CHUNK] = np.where(up, above, below)
+    for level in distinct:
+        rows = np.asarray(levels.levels) == level
+        indices[rows], quantized[rows] = _snap(values[rows], level, transform)
     return indices, quantized
 
 
@@ -114,8 +194,7 @@ def quantize_projected(
     the lower index.  Lattice points are fixed points: quantizing the output
     values again reproduces the indices exactly.
     """
-    levels = _as_levels(levels)
-    return _snap(_finite_rows(values, levels), levels)
+    return _quantize(values, levels, _identity)
 
 
 def fsq_quantize(z: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +202,7 @@ def fsq_quantize(z: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (indices, quantized values).
     """
-    levels = _as_levels(levels)
-    return _snap(np.tanh(_finite_rows(z, levels)), levels)
+    return _quantize(z, levels, np.tanh)
 
 
 def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:

@@ -14,7 +14,7 @@ from jdtok.fileio import (
     write_feature_file,
     write_token_file,
 )
-from jdtok.fsq import FsqLevels, fsq_dequantize, fsq_quantize
+from jdtok.fsq import FsqLevels, fsq_boundaries, fsq_dequantize, fsq_quantize
 from jdtok.masking import MaskConfig, generate_block_mask
 from jdtok.radix import TokenStream, build_scheme, pack_frames, unpack_frames
 
@@ -299,11 +299,12 @@ class TestEntryPoint:
 
 # (levels, group size): the default layout; uneven radices including 1 with
 # 37 dimensions, not a multiple of the group size; one 2**17-token group
-# (32-bit tokens)
+# (32-bit tokens); the widest serializable radix, two dimensions per 32-bit token
 SCHEMES = {
     "default": ([4] * 128, 7),
     "uneven": ([1, 2, 3, 4, 5, 7, 8] * 5 + [3, 1], 5),
     "u32": ([2] * 17, 17),
+    "wide": ([65535] * 4, 2),
 }
 
 
@@ -372,6 +373,36 @@ class TestBlocks:
         assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 4
         assert not back.exists()
         assert f"frame {2 * B + 2}" in capsys.readouterr().err
+
+
+def nearest_indices(projected, level, chunk=16):
+    """Brute-force argmin over the whole lattice, ``chunk`` frames at a time."""
+    lattice = fsq_boundaries(level)
+    out = np.empty(projected.shape, dtype=np.int64)
+    for lo in range(0, projected.shape[1], chunk):
+        v = projected[:, lo : lo + chunk, None]
+        out[:, lo : lo + chunk] = np.argmin(np.abs(v - lattice), axis=2)
+    return out
+
+
+class TestWideLevels:
+    def test_each_tokenize_of_a_round_trip_is_the_nearest_point(self, tmp_path, capsys):
+        # a second tokenize of 65535-level lattice values is not the first:
+        # tanh moves them to other points, so each pass is checked on its own
+        levels, group_size = [65535] * 4, 2
+        scheme = build_scheme(levels, group_size)
+        cfg = write_config(tmp_path / "c.cfg", levels, group_size)
+        feat, tok1, back, tok2 = (tmp_path / n for n in ("f.jdf", "1.jdt", "b.jdf", "2.jdt"))
+        data = write_features(feat, B + 3, channels=4, seed=8)
+        lattice = fsq_boundaries(65535).astype(np.float32)
+        for src, tok in ((feat, tok1), (back, tok2)):
+            assert main(["tokenize", "--config", cfg, "--in", str(src), "--out", str(tok)]) == 0
+            expect = nearest_indices(np.tanh(data.astype(np.float64)), 65535)
+            tokens = read_token_file(tok).tokens
+            np.testing.assert_array_equal(tokens, pack_frames(expect.T, scheme))
+            assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 0
+            data, _ = read_feature_file(back)
+            np.testing.assert_array_equal(data, lattice[expect])
 
 
 def traced_peak(argv):
@@ -446,3 +477,14 @@ class TestFullWidthVocabulary:
         assert "exceeds the 32-bit token width" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not tok.exists()
+
+    def test_info_reports_64_bits_per_token(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", [2] * 64, 64)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jdtok", "info", "--config", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "bits/sec: 160\n" in proc.stdout
+        assert "Traceback" not in proc.stderr

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from jdtok.errors import ValidationError
 from jdtok.fsq import (
     FsqLevels,
+    _identity,
+    _thresholds,
     fsq_boundaries,
     fsq_dequantize,
     fsq_quantize,
@@ -36,6 +38,16 @@ def adversarial_values(level):
         up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
         out += [up, down]
     return np.concatenate(out)
+
+
+def ulp_window(centres, dtype, half=2**16):
+    """Every ``dtype`` float within ``half`` ulps of each centre, a row per centre."""
+    itype = np.int64 if dtype == np.float64 else np.int32
+    magnitude = np.iinfo(itype).max
+    bits = np.asarray(centres, dtype=dtype).view(itype)
+    keys = bits ^ ((bits >> (8 * bits.itemsize - 1)) & magnitude)  # float order
+    keys = keys[:, None] + np.arange(-half, half + 1, dtype=itype)
+    return (keys ^ ((keys >> (8 * keys.itemsize - 1)) & magnitude)).view(dtype)
 
 
 class TestBoundaries:
@@ -106,6 +118,38 @@ class TestQuantize:
         idx, val = quantize_projected(v, FsqLevels((4,)))
         assert idx[0, 0] == 1
         assert val[0, 0] == -0.25
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("level", range(1, 17))
+    def test_every_float_near_every_threshold(self, level, dtype):
+        # the table's own float32 or float64 entries; L = 1 has none, so 0
+        for fn, transform in ((fsq_quantize, np.tanh), (quantize_projected, _identity)):
+            centres = _thresholds(level, transform, dtype)[: level - 1]
+            x = ulp_window(centres if level > 1 else [0.0], dtype)
+            lv = (level,) * x.shape[0]
+            idx, val = fn(x, FsqLevels(lv))
+            expect_idx, expect_val = argmin_oracle(transform(x.astype(np.float64)), lv)
+            np.testing.assert_array_equal(idx, expect_idx)
+            assert np.array_equal(val, expect_val)
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_huge_values_snap_to_the_outermost_points(self, level):
+        # both rounded distances of a value this large are equal
+        v = np.array([[1e16, 1e300, -1e16, -1e300]])
+        idx, val = quantize_projected(v, FsqLevels((level,)))
+        np.testing.assert_array_equal(idx[0], [level - 1, level - 1, 0, 0])
+        np.testing.assert_array_equal(val[0], fsq_boundaries(level)[idx[0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixed_levels_match_per_level_calls(self, dtype):
+        levels = (4, 65535, 1, 7, 65535, 2, 16, 4)
+        z = (np.random.default_rng(3).standard_normal((8, 700)) * 2).astype(dtype)
+        for fn in (fsq_quantize, quantize_projected):
+            idx, val = fn(z, FsqLevels(levels))
+            for d, level in enumerate(levels):
+                one_idx, one_val = fn(z[d : d + 1], FsqLevels((level,)))
+                np.testing.assert_array_equal(idx[d], one_idx[0])
+                assert np.array_equal(val[d], one_val[0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jdtok.config import CodecConfig, load_config, parse_config
 from jdtok.daam import DaamParams
@@ -322,3 +323,83 @@ class TestConfigScheme:
         assert twin == cfg
         with pytest.raises(TypeError):
             CodecConfig(scheme=cfg.scheme)
+
+
+def _seed_files():
+    """One small valid feature file, token file and configuration, as bytes."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        feat, tok = Path(tmp) / "f.jdf", Path(tmp) / "t.jdt"
+        data = np.random.default_rng(9).standard_normal((3, 5)).astype(np.float32)
+        write_feature_file(feat, data, 2.5)
+        scheme = build_scheme([4, 3, 1, 5, 2], 2)
+        tokens = np.array([[0, 2, 1], [11, 4, 0], [5, 3, 1]], dtype=np.uint64)
+        write_token_file(tok, TokenStream(tokens, scheme, 2.5))
+        config = b"levels = [4, 3, 5]\ngroup_size = 2\ndaam.k = 2\n" \
+            b"daam.delta = [0.0, 0.5]\nmask.ratio = 0.25  # comment\n"
+        return {"feature": feat.read_bytes(), "token": tok.read_bytes(), "config": config}
+
+
+SEEDS = _seed_files()
+
+
+def _hostile(seed: bytes):
+    """Truncations, byte mutations and random bytes around a valid file."""
+    edits = st.lists(
+        st.tuples(st.integers(0, len(seed) - 1), st.integers(0, 255)), min_size=1, max_size=8
+    )
+
+    def mutate(pairs):
+        raw = bytearray(seed)
+        for at, value in pairs:
+            raw[at] = value
+        return bytes(raw)
+
+    return st.one_of(
+        st.integers(0, len(seed) - 1).map(lambda n: seed[:n]),
+        edits.map(mutate),
+        st.binary(max_size=4 * len(seed)),
+    )
+
+
+def _parse_bytes(raw: bytes):
+    return parse_config(raw.decode("latin-1"))
+
+
+class TestHostileInput:
+    """Any bytes end in a documented error, in memory bounded by their size."""
+
+    def check(self, read, raw: bytes):
+        tracemalloc.start()
+        try:
+            read(raw)
+        except (FormatError, ValidationError, ConfigError):
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < (64 << 10) + 16 * len(raw)
+
+    def read_from_file(self, directory, reader):
+        def read(raw):
+            path = directory / "input"
+            path.write_bytes(raw)
+            return reader(path)
+
+        return read
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_hostile(SEEDS["feature"]))
+    def test_feature_reader(self, tmp_path_factory, raw):
+        self.check(self.read_from_file(tmp_path_factory.getbasetemp(), read_feature_file), raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_hostile(SEEDS["token"]))
+    def test_token_reader(self, tmp_path_factory, raw):
+        self.check(self.read_from_file(tmp_path_factory.getbasetemp(), read_token_file), raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_hostile(SEEDS["config"]))
+    def test_config_parser(self, raw):
+        self.check(_parse_bytes, raw)
