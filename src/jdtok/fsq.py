@@ -17,17 +17,19 @@ float64 x whose image f(x) is strictly nearer lattice point j + 1 than j,
 |f(x) - c[j+1]| < |f(x) - c[j]|, in the float arithmetic an argmin over the
 distances uses.  The table is exact because that predicate is monotone in x:
 f is non-decreasing (np.tanh is, on every float32; see
-scripts/fsq_threshold_check.py), and as f(x) rises the rounded distance to
-c[j+1] never grows while the one to c[j] never shrinks.  So a bisection over
-the ordered bit patterns of float64 finds each tau_j, and the index of x is
-the number of thresholds <= x: the nearest point, ties at midpoints going to
-the lower index as an argmin's would.  The bisection brackets [-20, 20]:
+scripts/fsq_threshold_check.py); the predicate is false for f(x) <= c[j] and
+true for f(x) >= c[j+1] (in the bracket below), and in between, as f(x)
+rises, the rounded distance to c[j+1] never grows while the one to c[j]
+never shrinks.  So a bisection over the ordered bit patterns of float64
+finds each tau_j, and the index of x is the number of thresholds <= x: the
+nearest point, ties at midpoints going to the lower index as an argmin's
+would.  The bisection brackets [-20, 20]:
 beyond it tanh is +-1 in float64 and the identity is nearest the outermost
 point, even where both rounded distances of a huge value are equal.  A
 float32 table holds each tau_j rounded up to float32, so a float32 input
 compares exactly as its float64 value would, without an upcast.  The count
 is one branchless binary search over the table, padded with +inf to a power
-of two: log2(L) passes of one gather and one comparison.
+of two P: log2(P) passes of one gather and one comparison.
 """
 
 from __future__ import annotations
@@ -177,10 +179,11 @@ def _quantize(values, levels, transform) -> tuple[np.ndarray, np.ndarray]:
     distinct = set(levels.levels)
     if len(distinct) == 1:  # the usual case: no gather or scatter of rows
         return _snap(values, levels.levels[0], transform)
+    lvl = np.asarray(levels.levels)
     indices = np.empty(values.shape, dtype=np.int64)
     quantized = np.empty(values.shape)
     for level in distinct:
-        rows = np.asarray(levels.levels) == level
+        rows = lvl == level
         indices[rows], quantized[rows] = _snap(values[rows], level, transform)
     return indices, quantized
 

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -327,8 +328,6 @@ class TestConfigScheme:
 
 def _seed_files():
     """One small valid feature file, token file and configuration, as bytes."""
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         feat, tok = Path(tmp) / "f.jdf", Path(tmp) / "t.jdt"
         data = np.random.default_rng(9).standard_normal((3, 5)).astype(np.float32)
@@ -336,15 +335,17 @@ def _seed_files():
         scheme = build_scheme([4, 3, 1, 5, 2], 2)
         tokens = np.array([[0, 2, 1], [11, 4, 0], [5, 3, 1]], dtype=np.uint64)
         write_token_file(tok, TokenStream(tokens, scheme, 2.5))
-        config = b"levels = [4, 3, 5]\ngroup_size = 2\ndaam.k = 2\n" \
+        config = (
+            b"levels = [4, 3, 5]\ngroup_size = 2\ndaam.k = 2\n"
             b"daam.delta = [0.0, 0.5]\nmask.ratio = 0.25  # comment\n"
+        )
         return {"feature": feat.read_bytes(), "token": tok.read_bytes(), "config": config}
 
 
 SEEDS = _seed_files()
 
 
-def _hostile(seed: bytes):
+def hostile(seed: bytes):
     """Truncations, byte mutations and random bytes around a valid file."""
     edits = st.lists(
         st.tuples(st.integers(0, len(seed) - 1), st.integers(0, 255)), min_size=1, max_size=8
@@ -363,43 +364,39 @@ def _hostile(seed: bytes):
     )
 
 
-def _parse_bytes(raw: bytes):
-    return parse_config(raw.decode("latin-1"))
+def assert_rejected_in_bounded_memory(read, size):
+    """``read()`` returns or raises a documented error, allocating O(size)."""
+    tracemalloc.start()
+    try:
+        read()
+    except (FormatError, ValidationError, ConfigError):
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < (64 << 10) + 16 * size
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "input"
 
 
 class TestHostileInput:
-    """Any bytes end in a documented error, in memory bounded by their size."""
-
-    def check(self, read, raw: bytes):
-        tracemalloc.start()
-        try:
-            read(raw)
-        except (FormatError, ValidationError, ConfigError):
-            pass
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        assert peak < (64 << 10) + 16 * len(raw)
-
-    def read_from_file(self, directory, reader):
-        def read(raw):
-            path = directory / "input"
-            path.write_bytes(raw)
-            return reader(path)
-
-        return read
+    @settings(max_examples=300, deadline=None)
+    @given(raw=hostile(SEEDS["feature"]))
+    def test_feature_reader(self, scratch_file, raw):
+        scratch_file.write_bytes(raw)
+        assert_rejected_in_bounded_memory(lambda: read_feature_file(scratch_file), len(raw))
 
     @settings(max_examples=300, deadline=None)
-    @given(raw=_hostile(SEEDS["feature"]))
-    def test_feature_reader(self, tmp_path_factory, raw):
-        self.check(self.read_from_file(tmp_path_factory.getbasetemp(), read_feature_file), raw)
+    @given(raw=hostile(SEEDS["token"]))
+    def test_token_reader(self, scratch_file, raw):
+        scratch_file.write_bytes(raw)
+        assert_rejected_in_bounded_memory(lambda: read_token_file(scratch_file), len(raw))
 
     @settings(max_examples=300, deadline=None)
-    @given(raw=_hostile(SEEDS["token"]))
-    def test_token_reader(self, tmp_path_factory, raw):
-        self.check(self.read_from_file(tmp_path_factory.getbasetemp(), read_token_file), raw)
-
-    @settings(max_examples=300, deadline=None)
-    @given(raw=_hostile(SEEDS["config"]))
+    @given(raw=hostile(SEEDS["config"]))
     def test_config_parser(self, raw):
-        self.check(_parse_bytes, raw)
+        text = raw.decode("latin-1")  # every byte string is some text
+        assert_rejected_in_bounded_memory(lambda: parse_config(text), len(raw))
