@@ -13,7 +13,7 @@ rejected.  Recognized keys:
     lambda_stft     float   STFT loss weight (default 2.0)
     lambda_gan      float   GAN loss weight (default 0.1)
     temperature     float   accepted for config compatibility; has no effect
-    daam.k          int     gate mixture components (default 4)
+    daam.k          int     gate mixture components (default 4, at most 256)
     daam.alpha      float   gate modulation strength (default 0.05)
     daam.delta      [float] gate mean offsets (default zeros, length daam.k)
     daam.nu         [float] gate log-scales (default log(0.5), length daam.k)
@@ -24,7 +24,7 @@ rejected.  Recognized keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .daam import DaamParams
@@ -127,12 +127,15 @@ def parse_config(text: str) -> CodecConfig:
         values[key] = _parse_value(key, value)
 
     try:
-        daam = DaamParams.init(**_given(values, k="daam.k", gate_strength="daam.alpha"))
-        k = daam.num_components
-        for key in ("daam.delta", "daam.nu"):
-            if key in values and len(values[key]) != k:
-                raise ConfigError(f"{key} has {len(values[key])} entries but daam.k = {k}")
-        daam = replace(daam, **_given(values, mean_offsets="daam.delta", log_scales="daam.nu"))
+        daam = DaamParams.init(
+            **_given(
+                values,
+                k="daam.k",
+                gate_strength="daam.alpha",
+                mean_offsets="daam.delta",
+                log_scales="daam.nu",
+            )
+        )
         mask = MaskConfig(
             **_given(
                 values, mask_ratio="mask.ratio", span_min="mask.span_min", span_max="mask.span_max"

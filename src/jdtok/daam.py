@@ -44,6 +44,10 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Largest k that DaamParams.init builds: 64 times the default, and one [K, T]
+# float64 array of an hour-long stream (T = 9000 frames at 2.5 Hz) stays at 18 MB.
+MAX_COMPONENTS = 256
+
 
 def _softplus(v: np.ndarray) -> np.ndarray:
     # log(1 + e^v) without overflow for large |v|
@@ -107,13 +111,27 @@ class DaamParams:
         return _softplus(self.log_scales) + self.eps
 
     @classmethod
-    def init(cls, k: int = 4, gate_strength: float = 0.05) -> "DaamParams":
-        """Default initialization with ``k`` components."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    def init(
+        cls,
+        k: int = 4,
+        gate_strength: float = 0.05,
+        mean_offsets=None,
+        log_scales=None,
+    ) -> "DaamParams":
+        """Default initialization with ``k`` components, 1 <= k <= MAX_COMPONENTS.
+
+        ``mean_offsets`` and ``log_scales``, when given, replace the default
+        values and must hold ``k`` entries each.  Both checks come before any
+        array is allocated, so a hostile ``k`` costs nothing.
+        """
+        if not 1 <= k <= MAX_COMPONENTS:
+            raise ValueError(f"k must be in [1, {MAX_COMPONENTS}], got {k}")
+        for name, given in (("mean_offsets", mean_offsets), ("log_scales", log_scales)):
+            if given is not None and len(given) != k:
+                raise ValueError(f"{name} has {len(given)} entries but k = {k}")
         return cls(
-            mean_offsets=np.zeros(k),
-            log_scales=np.full(k, np.log(0.5)),
+            mean_offsets=np.zeros(k) if mean_offsets is None else mean_offsets,
+            log_scales=np.full(k, np.log(0.5)) if log_scales is None else log_scales,
             gate_strength=gate_strength,
         )
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -188,4 +187,4 @@ def write_mask_file(path, mask: np.ndarray) -> None:
     mask = np.asarray(mask)
     if not np.isin(mask, (0, 1)).all():
         raise ValidationError("mask must contain only 0 and 1")
-    Path(path).write_bytes(mask.astype(np.uint8).tobytes())
+    _write(path, np.ascontiguousarray(mask, dtype=np.uint8))

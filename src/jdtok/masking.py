@@ -10,11 +10,23 @@ All randomness comes from numpy's PCG64 generator, so masks are reproducible
 bit-for-bit across platforms given (frame count, config, seed).  Batched
 generation derives one independent PCG64 substream per row via
 ``numpy.random.SeedSequence.spawn``.
+
+Each span needs two bounded integers, its length and its start.  They are
+not drawn by two scalar ``Generator.integers`` calls: the generator's 32-bit
+words are drawn in bulk (``integers(0, 2**32, size=n, dtype=np.uint32)``
+returns exactly the words that scalar draws consume) and each is mapped to
+its range by numpy's own rule (``_WordStream.integer``).  Masks are therefore
+bit-identical to those of the one-call-per-draw loop of earlier versions.  A
+caller-supplied generator ends in the state those scalar calls would leave:
+it is rewound and advanced by exactly the words the mask used.  The rule
+covers ranges of at most 2**32 - 1 values, so ``num_frames`` must be below
+2**32 (``ConfigError``, exit 2 on the CLI).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +78,89 @@ class MaskConfig:
         return self.span_max
 
 
+_WORD = 1 << 32  # bound of one generator word
+
+
+class _WordStream:
+    """A generator's 32-bit words, drawn in bulk and consumed one at a time.
+
+    Chunks double from 16 words, so a short mask draws few spare words and a
+    long one few chunks.  Words are drawn only when the first one is needed.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._words = iter(())
+        self._chunk = 16
+        self.drawn = 0
+
+    @property
+    def used(self) -> int:
+        """Words consumed so far; the rest of the last chunk is spare."""
+        return self.drawn - operator.length_hint(self._words)
+
+    def _refill(self) -> int:
+        self._words = iter(
+            self._rng.integers(0, _WORD, size=self._chunk, dtype=np.uint32).tolist()
+        )
+        self.drawn += self._chunk
+        self._chunk *= 2
+        return next(self._words)
+
+    def integer(self, lo: int, hi: int) -> int:
+        """``int(rng.integers(lo, hi + 1))`` from the same words, for hi - lo <= 2**32 - 2.
+
+        numpy's Lemire rule: ``m = word * n`` for the n values of the range;
+        reject while ``m mod 2**32 < (2**32 - n) % n``; return ``lo + (m >> 32)``.
+        A range of one value draws no word.
+        """
+        n = hi - lo + 1
+        if n == 1:
+            return lo
+        word = next(self._words, None)
+        m = (self._refill() if word is None else word) * n
+        if m & (_WORD - 1) < n:  # the threshold is below n, so only now can it reject
+            threshold = (_WORD - n) % n
+            while m & (_WORD - 1) < threshold:
+                word = next(self._words, None)
+                m = (self._refill() if word is None else word) * n
+        return lo + (m >> 32)
+
+
+def _block_mask(
+    num_frames: int, cfg: MaskConfig, words: _WordStream, count_overlaps: bool
+) -> np.ndarray:
+    if not 1 <= num_frames < _WORD:
+        raise ConfigError(f"num_frames must be in [1, 2**32), got {num_frames}")
+    target = math.floor(cfg.mask_ratio * num_frames)
+    if target == 0:
+        return np.ones(num_frames, dtype=np.uint8)
+    if cfg.span_min > num_frames:
+        raise ConfigError(
+            f"span_min ({cfg.span_min}) exceeds sequence length ({num_frames})"
+        )
+    span_max = min(cfg.resolved_span_max(num_frames), num_frames)
+    if span_max < cfg.span_min:
+        raise ConfigError(
+            f"resolved span_max ({span_max}) fell below span_min ({cfg.span_min})"
+        )
+
+    span_min, integer = cfg.span_min, words.integer
+    visible = bytearray(b"\x01") * num_frames
+    masked = 0
+    while masked < target:
+        length = integer(span_min, span_max)
+        start = integer(0, num_frames - length)
+        if count_overlaps:
+            masked += length
+        else:
+            if length > target - masked:  # clip to the remaining need, never below span_min
+                length = max(target - masked, span_min)
+            masked += visible.count(1, start, start + length)
+        visible[start:start + length] = bytes(length)
+    return np.frombuffer(visible, dtype=np.uint8)
+
+
 def generate_block_mask(
     num_frames: int,
     cfg: MaskConfig,
@@ -90,44 +185,25 @@ def generate_block_mask(
     target.
 
     Args:
-        num_frames: sequence length T >= 1.
+        num_frames: sequence length T, 1 <= T < 2**32.
         cfg: mask distribution parameters.
-        rng: optional generator; defaults to ``PCG64(cfg.seed)``.
+        rng: optional generator; defaults to ``PCG64(cfg.seed)``.  It is left
+            in the state that drawing each span's length and start by
+            ``rng.integers`` leaves.
         count_overlaps: use the legacy span-length counter.
 
     Returns:
         uint8 array of shape (T,) with 1 = visible, 0 = masked.
     """
-    if num_frames < 1:
-        raise ConfigError(f"num_frames must be >= 1, got {num_frames}")
-    target = math.floor(cfg.mask_ratio * num_frames)
-    mask = np.ones(num_frames, dtype=np.uint8)
-    if target == 0:
-        return mask
-    if cfg.span_min > num_frames:
-        raise ConfigError(
-            f"span_min ({cfg.span_min}) exceeds sequence length ({num_frames})"
-        )
-    span_max = min(cfg.resolved_span_max(num_frames), num_frames)
-    if span_max < cfg.span_min:
-        raise ConfigError(
-            f"resolved span_max ({span_max}) fell below span_min ({cfg.span_min})"
-        )
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-
-    masked = 0
-    while masked < target:
-        length = int(rng.integers(cfg.span_min, span_max + 1))
-        start = int(rng.integers(0, num_frames - length + 1))
-        if count_overlaps:
-            end = min(start + length, num_frames)
-            masked += end - start
-        else:
-            length = min(length, max(target - masked, cfg.span_min))
-            end = min(start + length, num_frames)
-            masked += int(np.count_nonzero(mask[start:end]))
-        mask[start:end] = 0
+        return _block_mask(num_frames, cfg, _WordStream(rng), count_overlaps)
+    state = rng.bit_generator.state
+    words = _WordStream(rng)
+    mask = _block_mask(num_frames, cfg, words, count_overlaps)
+    # rewind, then draw only the words the mask used
+    rng.bit_generator.state = state
+    rng.integers(0, _WORD, size=words.used, dtype=np.uint32)
     return mask
 
 
@@ -143,11 +219,11 @@ def generate_block_masks(
         raise ConfigError(f"batch must be >= 1, got {batch}")
     children = np.random.SeedSequence(cfg.seed).spawn(batch)
     rows = [
-        generate_block_mask(
+        _block_mask(
             num_frames,
             cfg,
-            np.random.Generator(np.random.PCG64(child)),
-            count_overlaps=count_overlaps,
+            _WordStream(np.random.Generator(np.random.PCG64(child))),
+            count_overlaps,
         )
         for child in children
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import subprocess
 import sys
@@ -286,6 +287,50 @@ class TestMask:
         assert raw.count(0) == 2
 
 
+# SHA-256 of `jdtok mask` output, computed with the one-scalar-draw-per-value
+# loop of earlier versions: (frames, ratio, span_min, span_max or None for
+# the adaptive rule, seed, --compat-paper-mask-counter) -> digest.  A change
+# in mask bits, from this package or from numpy, fails here.
+GOLDEN_MASKS = [
+    ((1000, 0.5, 2, None, 7, False), "f806930ab144717b57c6f9c353f80686ef8587cb54b8040494987f77b0676933"),
+    ((1000, 0.5, 2, None, 7, True), "8e3a278097f46553ccda497baa5e01d32407ca48fad8c2de75ec3a2e73b423b3"),
+    ((100000, 0.5, 2, 8, 11, False), "e1edcd363b6eed6ec3316422849ba87a9172deb4cefa94a9a6198e9a70d2916f"),
+    ((100000, 0.5, 2, 8, 11, True), "8b906ef93bea3b837137d7d22c1fa3f4c51fceabef3dcf16d6493baa915244d4"),
+    ((37, 1.0, 1, 4, 5, False), "ab24a95f44ceca5d2aed4b6d056adddd8539f44c6cd6ca506534e830c82ea8a8"),
+    ((4096, 0.3, 3, 17, 2**40 + 3, False), "774fa2ab3de30b6a99dfb047d0c34e8dc5f9f3dc3b6fa8ad2cd60c77accc2cf6"),
+    ((50000, 0.9, 5, 5000, 123, True), "1119f402594733a349854b9b7e51f9e80b60ad20c797b1a35d49ffc7bcfde70a"),
+    ((3000, 0.65, 1, 1, 3, False), "6cec2f42bfef9b6d4830ed871b52bba512be5db3d840efdb93956c782a05e6ff"),
+    ((1, 1.0, 1, None, 0, False), "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+]
+
+
+class TestGoldenMasks:
+    @pytest.mark.parametrize("case, digest", GOLDEN_MASKS, ids=[str(c) for c, _ in GOLDEN_MASKS])
+    def test_mask_digest(self, tmp_path, capsys, case, digest):
+        frames, ratio, span_min, span_max, seed, compat = case
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(
+            f"mask.ratio = {ratio}\nmask.span_min = {span_min}\n"
+            + ("" if span_max is None else f"mask.span_max = {span_max}\n")
+        )
+        out = tmp_path / "m.bin"
+        argv = ["mask", "--config", str(cfg), "--frames", str(frames), "--seed", str(seed),
+                "--out", str(out)] + (["--compat-paper-mask-counter"] if compat else [])
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestMaskFrameBound:
+    @pytest.mark.parametrize("frames", [2**32, 10**12])
+    def test_exits_2_without_output_in_bounded_memory(self, tmp_path, capsys, frames):
+        out = tmp_path / "m.bin"
+        code, peak = traced_peak(["mask", "--frames", str(frames), "--out", str(out)])
+        assert code == 2
+        assert peak < 1 << 20
+        assert not out.exists()
+        assert "2**32" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -458,6 +503,17 @@ class TestConfigGroupSize:
         cfg.write_text("levels = [4, 4, 4]\n")  # group_size defaults to 7
         assert main(["info", "--config", str(cfg)]) == 2
         assert "group_size" in capsys.readouterr().err
+
+
+class TestConfigGateComponents:
+    @pytest.mark.parametrize("k", [257, 10**6, 10**9])
+    def test_huge_k_exits_2_in_bounded_memory(self, tmp_path, capsys, k):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"daam.k = {k}\n")
+        code, peak = traced_peak(["info", "--config", str(cfg)])
+        assert code == 2
+        assert peak < 1 << 20
+        assert "256" in capsys.readouterr().err
 
 
 class TestFullWidthVocabulary:

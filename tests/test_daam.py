@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jdtok.daam import (
+    MAX_COMPONENTS,
     DaamParams,
     apply_gate,
     daam_gate,
@@ -303,3 +304,25 @@ class TestParams:
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
             DaamParams(**kwargs)
+
+    def test_init_component_bound(self):
+        assert DaamParams.init(MAX_COMPONENTS).num_components == MAX_COMPONENTS
+        for k in (0, MAX_COMPONENTS + 1, 10**9):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="k must be"):
+                    DaamParams.init(k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+
+    def test_init_with_given_values(self):
+        p = DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5])
+        np.testing.assert_array_equal(p.mean_offsets, [0.1, -0.1])
+        np.testing.assert_array_equal(p.log_scales, [0.0, 0.5])
+        np.testing.assert_array_equal(DaamParams.init(2, log_scales=[0.0, 0.5]).mean_offsets, [0, 0])
+        with pytest.raises(ValueError, match="mean_offsets has 3 entries"):
+            DaamParams.init(2, mean_offsets=[0.0] * 3)
+        with pytest.raises(ValueError, match="log_scales has 1 entries"):
+            DaamParams.init(log_scales=[0.0])
