@@ -35,6 +35,7 @@ larger vocabularies are not serializable.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 
 import numpy as np
@@ -85,11 +86,34 @@ def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytearray, 
     return raw, tuple(fields)
 
 
+def _open_in_place(path, flags: int) -> int:
+    """``open`` opener for mode ``"wb"`` that keeps an existing file's contents."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(path, *parts) -> None:
-    """Write header bytes and C-contiguous arrays to ``path`` without joining them."""
-    with open(path, "wb") as f:
-        for part in parts:
-            f.write(part)
+    """Write header bytes and C-contiguous arrays to ``path`` without joining them.
+
+    An existing regular file is written over in place and then cut to the
+    bytes written.  Emptying it first, as plain mode ``"wb"`` does, makes
+    ext4 (``auto_da_alloc``) start the file's writeback as it is closed, in
+    the writer's time: a 100 kB rewrite took 0.5-10 ms that way against a
+    steady 0.2 ms in place.  A write that fails cuts the file to zero bytes,
+    so no old bytes survive behind new ones.
+    """
+    with open(path, "wb", buffering=0, opener=_open_in_place) as f:
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        try:
+            for part in parts:
+                view = np.frombuffer(part, dtype=np.uint8)
+                while view.size:  # a raw write may take only part of the buffer
+                    view = view[f.write(view):]
+        except BaseException:
+            if regular:
+                f.truncate(0)
+            raise
+        if regular:
+            f.truncate()
 
 
 def write_feature_file(path, data: np.ndarray, frame_rate_hz: float) -> None:

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import struct
 import tempfile
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jdtok import fileio
 from jdtok.config import CodecConfig, load_config, parse_config
 from jdtok.daam import DaamParams
 from jdtok.errors import ConfigError, FormatError, ValidationError
@@ -196,6 +198,34 @@ class TestMaskFile:
     def test_rejects_non_binary(self, tmp_path):
         with pytest.raises(ValidationError):
             write_mask_file(tmp_path / "m.bin", np.array([0, 2]))
+
+
+class TestRewrite:
+    """Writers overwrite an existing output in place and cut it to length."""
+
+    def test_shorter_rewrite_leaves_only_new_bytes(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_mask_file(path, np.ones(1000, dtype=np.uint8))
+        write_mask_file(path, np.array([0, 1, 0], dtype=np.uint8))
+        assert path.read_bytes() == bytes([0, 1, 0])
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_mask_file(tmp_path / "m.bin", np.ones(3, dtype=np.uint8))
+        finally:
+            os.umask(old)
+        assert (tmp_path / "m.bin").stat().st_mode & 0o777 == 0o640
+
+    def test_failed_rewrite_leaves_no_old_bytes(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"old" * 100)
+        with pytest.raises(TypeError):  # the second part is not a buffer
+            fileio._write(path, b"new", object())
+        assert path.read_bytes() == b""
+
+    def test_non_regular_output(self):
+        write_mask_file(os.devnull, np.ones(10, dtype=np.uint8))
 
 
 class TestConfig:
