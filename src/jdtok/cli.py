@@ -8,6 +8,7 @@ streams), 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -149,7 +150,15 @@ def _cmd_mask(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``main(argv)`` may be called any number of times in one process, and
+    every call parses with this one parser. ``parse_args`` keeps no state in
+    the parser and returns a fresh namespace on each call. Callers must not
+    add to or change the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="jdtok",
         description="Reversible feature-stream tokenizer: finite scalar "

@@ -209,6 +209,6 @@ def read_token_file(path) -> TokenStream:
 def write_mask_file(path, mask: np.ndarray) -> None:
     """Write a {0,1} mask as one byte per frame."""
     mask = np.asarray(mask)
-    if not np.isin(mask, (0, 1)).all():
+    if not ((mask == 0) | (mask == 1)).all():
         raise ValidationError("mask must contain only 0 and 1")
     _write(path, np.ascontiguousarray(mask, dtype=np.uint8))

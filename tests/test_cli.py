@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jdtok.cli import _BLOCK_FRAMES as B, main
+from jdtok.cli import _BLOCK_FRAMES as B, build_parser, main
 from jdtok.fileio import (
     read_feature_file,
     read_token_file,
@@ -249,6 +249,18 @@ class TestScore:
         assert "non-finite" in err
 
 
+def differing_mask_seed(frames):
+    """A seed whose mask depends on the counter mode."""
+    return next(
+        s
+        for s in range(50)
+        if not np.array_equal(
+            generate_block_mask(frames, MaskConfig(seed=s)),
+            generate_block_mask(frames, MaskConfig(seed=s), count_overlaps=True),
+        )
+    )
+
+
 class TestMask:
     def test_mask_bytes_match_library(self, tmp_path, capsys):
         out = tmp_path / "m.bin"
@@ -258,16 +270,8 @@ class TestMask:
         assert "masked fraction" in capsys.readouterr().out
 
     def test_compat_counter_changes_output(self, tmp_path):
-        # find a seed where overlap makes the two modes disagree, then
-        # check the CLI flag reproduces the legacy library behavior
-        seed = next(
-            s
-            for s in range(50)
-            if not np.array_equal(
-                generate_block_mask(100, MaskConfig(seed=s)),
-                generate_block_mask(100, MaskConfig(seed=s), count_overlaps=True),
-            )
-        )
+        # the CLI flag reproduces the legacy library behavior
+        seed = differing_mask_seed(100)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         assert main(["mask", "--frames", "100", "--seed", str(seed), "--out", str(a)]) == 0
         assert main([
@@ -340,6 +344,64 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "47.5" in proc.stdout
+
+    def test_console_script_call_reads_sys_argv(self, monkeypatch, capsys):
+        # the [project.scripts] entry point calls main() with argv=None
+        monkeypatch.setattr(sys, "argv", ["jdtok", "info", "--config", CONFIG])
+        assert main() == 0
+        assert "tokens/sec: 47.5" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """Every main() call in a process parses with one parser; nothing one
+    call sets may reach the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flag_does_not_stick(self, tmp_path):
+        seed = differing_mask_seed(100)
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        argv = ["mask", "--frames", "100", "--seed", str(seed)]
+        assert main(argv + ["--out", str(a), "--compat-paper-mask-counter"]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        expected = generate_block_mask(100, MaskConfig(seed=seed), count_overlaps=False)
+        assert b.read_bytes() == expected.tobytes()
+
+    def test_config_does_not_stick(self, tmp_path, capsys):
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        write_features(feat, 5)
+        g1 = write_config(tmp_path / "g1.cfg", [4] * 128, 1)
+        assert main(["tokenize", "--config", g1, "--in", str(feat), "--out", str(tok)]) == 0
+        assert read_token_file(tok).tokens.shape == (5, 128)
+        capsys.readouterr()
+        assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 0
+        assert "tokens/sec: 47.5" in capsys.readouterr().out
+        assert read_token_file(tok).tokens.shape == (5, 19)
+
+    def test_rejected_call_leaves_no_values(self, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        alone = subprocess.run(
+            [sys.executable, "-m", "jdtok", "mask", "--frames", "100", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert alone.returncode == 0
+        out.unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(["mask", "--frames", "100", "--seed", "5"])  # no --out
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["mask", "--frames", "100", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == alone.stdout
+        assert out.read_bytes() == generate_block_mask(100, MaskConfig(seed=0)).tobytes()
+
+    def test_help_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["tokenize", "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: jdtok tokenize")
 
 
 # (levels, group size): the default layout; uneven radices including 1 with

@@ -196,8 +196,21 @@ class TestMaskFile:
         assert path.read_bytes() == bytes([1, 0, 0, 1, 1])
 
     def test_rejects_non_binary(self, tmp_path):
-        with pytest.raises(ValidationError):
-            write_mask_file(tmp_path / "m.bin", np.array([0, 2]))
+        path = tmp_path / "m.bin"
+        for bad in (2, 0.5, -1, np.nan):
+            with pytest.raises(ValidationError):
+                write_mask_file(path, np.array([0, 1, bad]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("mask", [
+        np.array([True, False, False, True]),
+        np.array([1.0, 0.0, 0.0, 1.0]),
+        np.array([1.0, -0.0, 0.0, 1.0], dtype=np.float32),
+    ], ids=["bool", "float64", "float32"])
+    def test_accepts_bool_and_float_masks(self, tmp_path, mask):
+        path = tmp_path / "m.bin"
+        write_mask_file(path, mask)
+        assert path.read_bytes() == bytes([1, 0, 0, 1])
 
 
 class TestRewrite:
