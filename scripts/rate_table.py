@@ -6,8 +6,7 @@ Example:
 """
 
 import argparse
-
-import numpy as np
+import math
 
 from jdtok.fsq import FsqLevels
 from jdtok.radix import build_scheme, token_rate
@@ -33,7 +32,7 @@ def main() -> None:
         scheme = build_scheme(levels, group_size=group_size)
         _, tps = token_rate(args.sample_rate, args.hop, scheme.group_count)
         vocab = scheme.group_products[0]
-        bits = tps * float(np.log2(vocab))
+        bits = tps * math.log2(vocab)
         print(f"{group_size:>3} {scheme.group_count:>7} {scheme.pad_count:>5} "
               f"{tps:>9g} {vocab:>10} {bits:>9.1f}")
 

@@ -8,6 +8,7 @@ streams), 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -18,8 +19,8 @@ from . import fileio
 from .config import load_config
 from .errors import ConfigError, FormatError, ValidationError
 from .fsq import FsqLevels, fsq_dequantize, fsq_quantize
-from .losses import StftConfig, l1_loss, multi_res_stft
-from .masking import MaskConfig, generate_block_mask, masked_fraction
+from .losses import StftConfig, l1_loss, multi_res_stft, total_stage2
+from .masking import generate_block_mask, masked_fraction
 from .radix import TokenStream, pack_frames, token_rate, unpack_frames
 
 EXIT_OK = 0
@@ -127,19 +128,14 @@ def _cmd_score(args) -> int:
     ):
         print(f"stft fft={fft} hop={hop}: sc={sc:.6g} log_mag={mag:.6g}")
     print(f"stft total: {stft_total:.6g}")
-    print(f"weighted (l1 + {cfg.lambda_stft:g} * stft): "
-          f"{rec + cfg.lambda_stft * stft_total:.6g}")
+    weighted = total_stage2(rec, stft_total, lambda_stft=cfg.lambda_stft)
+    print(f"weighted (l1 + {cfg.lambda_stft:g} * stft): {weighted:.6g}")
     return EXIT_OK
 
 
 def _cmd_mask(args) -> int:
     cfg = load_config(args.config)
-    mask_cfg = MaskConfig(
-        mask_ratio=cfg.mask.mask_ratio,
-        span_min=cfg.mask.span_min,
-        span_max=cfg.mask.span_max,
-        seed=args.seed,
-    )
+    mask_cfg = dataclasses.replace(cfg.mask, seed=args.seed)
     mask = generate_block_mask(
         args.frames, mask_cfg, count_overlaps=args.compat_paper_mask_counter
     )

@@ -2,7 +2,9 @@
 
 Format: one ``key = value`` pair per line; ``#`` starts a comment; arrays go
 in brackets, e.g. ``daam.delta = [0.0, 0.0, 0.0, 0.0]``.  Unknown keys are
-rejected.  Recognized keys:
+rejected.  One table, ``_KEYS``, gives each key's type, whether it is an
+array, and the field it fills in ``CodecConfig``, ``DaamParams.init`` (the
+``daam.`` keys) or ``MaskConfig`` (the ``mask.`` keys).  Recognized keys:
 
     sample_rate     int     audio sample rate in Hz (default 24000)
     hop             int     encoder hop in samples (default 9600)
@@ -30,28 +32,29 @@ from pathlib import Path
 from .daam import DaamParams
 from .errors import ConfigError
 from .fsq import FsqLevels
+from .losses import DEFAULT_LAMBDA_GAN, DEFAULT_LAMBDA_STFT
 from .masking import MaskConfig
 from .radix import RadixScheme, build_scheme
 
 __all__ = ["CodecConfig", "parse_config", "load_config", "DEFAULT_CONFIG"]
 
-_SCALAR_KEYS = {
-    "sample_rate": int,
-    "hop": int,
-    "group_size": int,
-    "lambda_stft": float,
-    "lambda_gan": float,
-    "temperature": float,
-    "daam.k": int,
-    "daam.alpha": float,
-    "mask.ratio": float,
-    "mask.span_min": int,
-    "mask.span_max": int,
-}
-_ARRAY_KEYS = {
-    "levels": int,
-    "daam.delta": float,
-    "daam.nu": float,
+# key -> (element type, is an array, owner, field name).  The owner "codec" is
+# CodecConfig itself, "daam" is DaamParams.init and "mask" is MaskConfig.
+_KEYS = {
+    "sample_rate": (int, False, "codec", "sample_rate"),
+    "hop": (int, False, "codec", "hop"),
+    "levels": (int, True, "codec", "levels"),
+    "group_size": (int, False, "codec", "group_size"),
+    "lambda_stft": (float, False, "codec", "lambda_stft"),
+    "lambda_gan": (float, False, "codec", "lambda_gan"),
+    "temperature": (float, False, "codec", "temperature"),
+    "daam.k": (int, False, "daam", "k"),
+    "daam.alpha": (float, False, "daam", "gate_strength"),
+    "daam.delta": (float, True, "daam", "mean_offsets"),
+    "daam.nu": (float, True, "daam", "log_scales"),
+    "mask.ratio": (float, False, "mask", "mask_ratio"),
+    "mask.span_min": (int, False, "mask", "span_min"),
+    "mask.span_max": (int, False, "mask", "span_max"),
 }
 
 
@@ -63,8 +66,8 @@ class CodecConfig:
     hop: int = 9600
     levels: FsqLevels = FsqLevels()
     group_size: int = 7
-    lambda_stft: float = 2.0
-    lambda_gan: float = 0.1
+    lambda_stft: float = DEFAULT_LAMBDA_STFT
+    lambda_gan: float = DEFAULT_LAMBDA_GAN
     temperature: float = 1.0  # accepted for compatibility, unused
     daam: DaamParams = DaamParams.init(4)
     mask: MaskConfig = MaskConfig()
@@ -85,35 +88,26 @@ class CodecConfig:
 DEFAULT_CONFIG = CodecConfig()
 
 
-def _parse_value(key: str, text: str):
+def _parse_value(key: str, text: str, caster: type, array: bool):
     text = text.strip()
-    if key in _ARRAY_KEYS:
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ConfigError(f"{key}: expected a bracketed array, got {text!r}")
-        inner = text[1:-1].strip()
-        items = [s.strip() for s in inner.split(",")] if inner else []
-        caster = _ARRAY_KEYS[key]
-        try:
-            return [caster(item) for item in items]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad array element ({exc})") from exc
-    if key in _SCALAR_KEYS:
-        caster = _SCALAR_KEYS[key]
+    if not array:
         try:
             return caster(text)
         except ValueError as exc:
             raise ConfigError(f"{key}: expected {caster.__name__}, got {text!r}") from exc
-    raise ConfigError(f"unknown configuration key {key!r}")
-
-
-def _given(values: dict, **fields: str) -> dict:
-    """The values the text sets, keyed by the field each key fills."""
-    return {name: values[key] for name, key in fields.items() if key in values}
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ConfigError(f"{key}: expected a bracketed array, got {text!r}")
+    inner = text[1:-1].strip()
+    items = [s.strip() for s in inner.split(",")] if inner else []
+    try:
+        return [caster(item) for item in items]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: bad array element ({exc})") from exc
 
 
 def parse_config(text: str) -> CodecConfig:
-    """Parse configuration text into a :class:`CodecConfig`."""
-    values: dict[str, object] = {}
+    """Parse configuration text; each unset key keeps its owner's default."""
+    given: dict[str, dict] = {"codec": {}, "daam": {}, "mask": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -122,30 +116,20 @@ def parse_config(text: str) -> CodecConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in values:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        caster, array, owner, name = _KEYS[key]
+        if name in given[owner]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, value)
+        given[owner][name] = _parse_value(key, value, caster, array)
 
     try:
-        daam = DaamParams.init(
-            **_given(
-                values,
-                k="daam.k",
-                gate_strength="daam.alpha",
-                mean_offsets="daam.delta",
-                log_scales="daam.nu",
-            )
-        )
-        mask = MaskConfig(
-            **_given(
-                values, mask_ratio="mask.ratio", span_min="mask.span_min", span_max="mask.span_max"
-            )
-        )
-        # keys without a dot are CodecConfig's own fields
-        top = {key: value for key, value in values.items() if "." not in key}
-        if "levels" in top:
-            top["levels"] = FsqLevels(tuple(top["levels"]))
-        return CodecConfig(**top, daam=daam, mask=mask)
+        daam = DaamParams.init(**given["daam"])
+        mask = MaskConfig(**given["mask"])
+        codec = given["codec"]
+        if "levels" in codec:
+            codec["levels"] = FsqLevels(tuple(codec["levels"]))
+        return CodecConfig(**codec, daam=daam, mask=mask)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -163,7 +163,7 @@ def _gate_forward(x: np.ndarray, params: DaamParams, dtype):
     x = np.asarray(x, dtype=dtype)
     _check_signal(x)
     delta = params.mean_offsets.astype(dtype)
-    st = (_softplus(params.log_scales) + params.eps).astype(dtype)
+    st = params.scales().astype(dtype)
 
     mu = x.mean(dtype=dtype)
     dev = x - mu

@@ -60,6 +60,15 @@ FORMAT_VERSION = 1
 
 _FEATURE_HEADER = struct.Struct("<4sIIQd")
 _TOKEN_HEADER = struct.Struct("<4sIIIIIQd")
+_TOKEN_DTYPES = {16: "<u2", 32: "<u4"}  # token width in bits -> dtype, narrowest first
+
+
+def _check_rate(rate, error: type[ValueError], where: str = "") -> float:
+    """``rate`` as a float if it is a usable frame_rate_hz (finite, > 0), else raise ``error``."""
+    rate = float(rate)
+    if not (np.isfinite(rate) and rate > 0):
+        raise error(f"{where}frame rate {rate!r} is not positive and finite")
+    return rate
 
 
 def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytearray, tuple]:
@@ -80,9 +89,7 @@ def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytearray, 
         raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    rate = fields[-1]  # both layouts end in frame_rate_hz
-    if not (np.isfinite(rate) and rate > 0):
-        raise FormatError(f"{path}: frame rate {rate!r} is not positive and finite")
+    _check_rate(fields[-1], FormatError, f"{path}: ")  # both layouts end in the rate
     return raw, tuple(fields)
 
 
@@ -121,8 +128,9 @@ def write_feature_file(path, data: np.ndarray, frame_rate_hz: float) -> None:
     data = np.ascontiguousarray(data, dtype="<f4")
     if data.ndim != 2:
         raise ValueError(f"expected a [C, T] array, got shape {data.shape}")
+    rate = _check_rate(frame_rate_hz, ValidationError)
     header = _FEATURE_HEADER.pack(
-        FEATURE_MAGIC, FORMAT_VERSION, data.shape[0], data.shape[1], float(frame_rate_hz)
+        FEATURE_MAGIC, FORMAT_VERSION, data.shape[0], data.shape[1], rate
     )
     _write(path, header, data)
 
@@ -149,14 +157,13 @@ def write_token_file(path, stream: TokenStream) -> None:
             f"radices above {0xFFFF} are not serializable (got {max(scheme.radices)})"
         )
     max_product = max(scheme.group_products)
-    if max_product <= 1 << 16:
-        width, dtype = 16, "<u2"
-    elif max_product <= 1 << 32:
-        width, dtype = 32, "<u4"
-    else:
+    width = next((w for w in _TOKEN_DTYPES if max_product <= 1 << w), None)
+    if width is None:
         raise FormatError(
-            f"group vocabulary {max_product} exceeds the 32-bit token width"
+            f"group vocabulary {max_product} exceeds the "
+            f"{max(_TOKEN_DTYPES)}-bit token width"
         )
+    rate = _check_rate(stream.frame_rate_hz, ValidationError)
     header = _TOKEN_HEADER.pack(
         TOKEN_MAGIC,
         FORMAT_VERSION,
@@ -165,17 +172,18 @@ def write_token_file(path, stream: TokenStream) -> None:
         scheme.dim,
         width,
         stream.frame_count,
-        float(stream.frame_rate_hz),
+        rate,
     )
     radices = np.array(scheme.radices, dtype="<u2")
-    _write(path, header, radices, np.ascontiguousarray(stream.tokens, dtype=dtype))
+    tokens = np.ascontiguousarray(stream.tokens, dtype=_TOKEN_DTYPES[width])
+    _write(path, header, radices, tokens)
 
 
 def read_token_file(path) -> TokenStream:
     """Read a token file and revalidate every token against its vocabulary."""
     raw, header = _read_header(path, _TOKEN_HEADER, TOKEN_MAGIC)
     group_count, group_size, dim, width, frames, frame_rate = header
-    if width not in (16, 32):
+    if width not in _TOKEN_DTYPES:
         raise FormatError(f"{path}: invalid token width {width}")
     offset = _TOKEN_HEADER.size
     if len(raw) < offset + 2 * dim:
@@ -191,7 +199,7 @@ def read_token_file(path) -> TokenStream:
             f"{path}: header group count {group_count} does not match "
             f"{scheme.group_count} derived from {dim} dimensions"
         )
-    dtype = "<u2" if width == 16 else "<u4"
+    dtype = _TOKEN_DTYPES[width]
     expected = offset + (width // 8) * frames * group_count
     if len(raw) != expected:
         raise FormatError(

@@ -140,10 +140,6 @@ def _block_mask(
             f"span_min ({cfg.span_min}) exceeds sequence length ({num_frames})"
         )
     span_max = min(cfg.resolved_span_max(num_frames), num_frames)
-    if span_max < cfg.span_min:
-        raise ConfigError(
-            f"resolved span_max ({span_max}) fell below span_min ({cfg.span_min})"
-        )
 
     span_min, integer = cfg.span_min, words.integer
     visible = bytearray(b"\x01") * num_frames

@@ -22,11 +22,18 @@ from jdtok.radix import TokenStream, build_scheme, pack_frames, unpack_frames
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
 
 
-def write_features(path, frames, channels=128, seed=0, rate=2.5):
+def write_features(path, frames, channels=128, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((channels, frames)).astype(np.float32)
-    write_feature_file(path, data, rate)
+    write_feature_file(path, data, 2.5)
     return data
+
+
+def set_rate(path, offset, rate):
+    """Overwrite a written container's frame_rate_hz, as a corrupt file would hold it."""
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 8] = struct.pack("<d", rate)
+    path.write_bytes(bytes(raw))
 
 
 class TestTokenize:
@@ -124,11 +131,13 @@ class TestDetokenize:
         feat = tmp_path / "f.jdf"
         tok = tmp_path / "t.jdt"
         back = tmp_path / "b.jdf"
-        write_features(feat, 3, rate=rate)
+        write_features(feat, 3)
+        set_rate(feat, 20, rate)  # frame_rate_hz in a JDF1 header
         assert main(["tokenize", "--config", CONFIG, "--in", str(feat), "--out", str(tok)]) == 3
         assert not tok.exists()
         scheme = build_scheme(FsqLevels(), 7)
-        write_token_file(tok, TokenStream(np.zeros((3, 19), dtype=np.uint64), scheme, rate))
+        write_token_file(tok, TokenStream(np.zeros((3, 19), dtype=np.uint64), scheme, 2.5))
+        set_rate(tok, 32, rate)  # frame_rate_hz in a JDT1 header
         assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 3
         assert not back.exists()
         assert "frame rate" in capsys.readouterr().err

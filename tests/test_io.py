@@ -1,16 +1,19 @@
 import dataclasses
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jdtok import fileio
-from jdtok.config import CodecConfig, load_config, parse_config
+import jdtok.config
+from jdtok import fileio, losses
+from jdtok.config import _KEYS, CodecConfig, load_config, parse_config
 from jdtok.daam import DaamParams
 from jdtok.errors import ConfigError, FormatError, ValidationError
 from jdtok.fileio import (
@@ -25,6 +28,15 @@ from jdtok.fsq import FsqLevels
 from jdtok.radix import TokenStream, build_scheme
 
 BAD_RATES = [float("nan"), float("inf"), float("-inf"), 0.0, -2.5]
+FEATURE_RATE_OFFSET = 20  # frame_rate_hz in a JDF1 header
+TOKEN_RATE_OFFSET = 32  # frame_rate_hz in a JDT1 header
+
+
+def set_rate(path, offset, rate):
+    """Overwrite a written container's frame_rate_hz, as a corrupt file would hold it."""
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 8] = struct.pack("<d", rate)
+    path.write_bytes(bytes(raw))
 
 
 class TestFeatureFile:
@@ -92,7 +104,8 @@ class TestFeatureFile:
     @pytest.mark.parametrize("rate", BAD_RATES)
     def test_unusable_frame_rate_rejected(self, tmp_path, rate):
         path = tmp_path / "r.jdf"
-        write_feature_file(path, np.zeros((2, 3), dtype=np.float32), rate)
+        write_feature_file(path, np.zeros((2, 3), dtype=np.float32), 2.5)
+        set_rate(path, FEATURE_RATE_OFFSET, rate)
         with pytest.raises(FormatError, match="frame rate"):
             read_feature_file(path)
 
@@ -183,8 +196,9 @@ class TestTokenFile:
     def test_unusable_frame_rate_rejected(self, tmp_path, rate):
         scheme = build_scheme([4, 4], group_size=2)
         path = tmp_path / "r.jdt"
-        stream = TokenStream(np.zeros((3, 1), dtype=np.uint64), scheme, rate)
+        stream = TokenStream(np.zeros((3, 1), dtype=np.uint64), scheme, 2.5)
         write_token_file(path, stream)
+        set_rate(path, TOKEN_RATE_OFFSET, rate)
         with pytest.raises(FormatError, match="frame rate"):
             read_token_file(path)
 
@@ -239,6 +253,22 @@ class TestRewrite:
 
     def test_non_regular_output(self):
         write_mask_file(os.devnull, np.ones(10, dtype=np.uint8))
+
+
+class TestWriterRates:
+    """Writers refuse the frame rates their readers reject, before opening the output."""
+
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_unusable_frame_rate_leaves_output_alone(self, tmp_path, rate):
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        for path in (feat, tok):
+            path.write_bytes(b"old bytes")
+        with pytest.raises(ValidationError, match="frame rate"):
+            write_feature_file(feat, np.zeros((2, 3), dtype=np.float32), rate)
+        scheme = build_scheme([4, 4], group_size=2)
+        with pytest.raises(ValidationError, match="frame rate"):
+            write_token_file(tok, TokenStream(np.zeros((3, 1), dtype=np.uint64), scheme, rate))
+        assert feat.read_bytes() == tok.read_bytes() == b"old bytes"
 
 
 class TestConfig:
@@ -320,6 +350,61 @@ class TestConfig:
         assert cfg.temperature == 0.7
         # nothing else changes relative to defaults
         assert cfg.levels.levels == CodecConfig().levels.levels
+
+
+# a non-default value for every configuration key, the attribute of the parsed
+# CodecConfig it must land in, and that attribute's expected value
+KEY_SAMPLES = {
+    "sample_rate": ("16000", "sample_rate", 16000),
+    "hop": ("320", "hop", 320),
+    "levels": ("[4, 4, 8, 3, 5, 6, 7]", "levels", FsqLevels((4, 4, 8, 3, 5, 6, 7))),
+    "group_size": ("8", "group_size", 8),
+    "lambda_stft": ("3.5", "lambda_stft", 3.5),
+    "lambda_gan": ("0.25", "lambda_gan", 0.25),
+    "temperature": ("0.7", "temperature", 0.7),
+    "daam.k": ("3", "daam.num_components", 3),
+    "daam.alpha": ("0.2", "daam.gate_strength", 0.2),
+    "daam.delta": ("[0.1, -0.2, 0.3, 0.0]", "daam.mean_offsets", [0.1, -0.2, 0.3, 0.0]),
+    "daam.nu": ("[0.0, 0.5, 1.0, -1.0]", "daam.log_scales", [0.0, 0.5, 1.0, -1.0]),
+    "mask.ratio": ("0.3", "mask.mask_ratio", 0.3),
+    "mask.span_min": ("3", "mask.span_min", 3),
+    "mask.span_max": ("9", "mask.span_max", 9),
+}
+
+
+class TestConfigKeys:
+    """Every key of the one key table reaches its owner's field and is type-checked."""
+
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_value_reaches_its_field(self, key):
+        text, path, want = KEY_SAMPLES[key]
+        got = attrgetter(path)(parse_config(f"{key} = {text}"))
+        default = attrgetter(path)(CodecConfig())
+        if isinstance(got, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+            assert not np.array_equal(default, want)
+        else:
+            assert got == want
+            assert default != want
+
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_wrong_type_names_the_key(self, key):
+        text = "[wrong]" if _KEYS[key][1] else "wrong"
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            parse_config(f"{key} = {text}")
+
+    def test_documented_keys_are_the_table(self):
+        documented = re.findall(r"^    (\S+) +\[?(?:int|float)\]? ", jdtok.config.__doc__, re.M)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        listed = section.split("Keys:", 1)[1].split("Omitted keys", 1)[0]
+        assert documented == list(_KEYS)
+        assert re.findall(r"`([a-z_.]+)`", listed) == list(_KEYS)
+        assert set(KEY_SAMPLES) == set(_KEYS)
+
+    def test_loss_weights_default_to_the_losses_module(self):
+        assert CodecConfig().lambda_stft == losses.DEFAULT_LAMBDA_STFT
+        assert CodecConfig().lambda_gan == losses.DEFAULT_LAMBDA_GAN
 
 
 def assert_same_config(a: CodecConfig, b: CodecConfig) -> None:
