@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 bad configuration, 3 malformed input file,
 4 semantic validation failure (out-of-range token/index, mismatched
-streams), 5 I/O failure.
+streams), 5 I/O failure.  Any other error is a fault in the program: it is
+not caught, so the process exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ EXIT_FORMAT = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
 
-# the first entry the error is an instance of wins, so the ValueError
-# subclasses come before ValueError itself
 _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     FormatError: EXIT_FORMAT,
-    ValueError: EXIT_VALIDATION,  # ValidationError and any other bad value
+    ValidationError: EXIT_VALIDATION,
     OSError: EXIT_IO,
 }
 
@@ -60,6 +59,10 @@ def _vocab_summary(products: tuple[int, ...]) -> str:
 
 def _cmd_tokenize(args) -> int:
     cfg = load_config(args.config)
+    try:
+        fileio.token_width(cfg.scheme)  # a scheme the token file cannot hold
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from exc
     data, frame_rate = fileio.read_feature_file(args.infile)
     if data.shape[0] != cfg.levels.dim:
         raise ValidationError(

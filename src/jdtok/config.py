@@ -140,4 +140,8 @@ def load_config(path) -> CodecConfig:
     """Load a configuration file, or defaults when ``path`` is None."""
     if path is None:
         return DEFAULT_CONFIG
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:  # a binary file is a bad configuration
+        raise ConfigError(str(exc)) from exc
+    return parse_config(text)

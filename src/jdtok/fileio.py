@@ -52,6 +52,7 @@ __all__ = [
     "read_token_file",
     "write_token_file",
     "write_mask_file",
+    "token_width",
 ]
 
 FEATURE_MAGIC = b"JDF1"
@@ -145,13 +146,17 @@ def read_feature_file(path) -> tuple[np.ndarray, float]:
             f"{path}: payload size {len(raw) - _FEATURE_HEADER.size} does not match "
             f"header ({channels} x {frames} float32)"
         )
+    if 4 * frames > np.iinfo(np.intp).max:  # numpy cannot shape even 0 channels of it
+        raise FormatError(f"{path}: frame count {frames} exceeds the addressable size")
     payload = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size)
     return payload.reshape(channels, frames), frame_rate
 
 
-def write_token_file(path, stream: TokenStream) -> None:
-    """Write a token stream; width is the smallest of u16/u32 that fits."""
-    scheme = stream.scheme
+def token_width(scheme: RadixScheme) -> int:
+    """Bits per token in a token file of ``scheme``: the narrowest width that fits.
+
+    FormatError if the format cannot hold it: a radix above 65535 or a vocabulary above 2**32.
+    """
     if any(r > 0xFFFF for r in scheme.radices):
         raise FormatError(
             f"radices above {0xFFFF} are not serializable (got {max(scheme.radices)})"
@@ -163,6 +168,13 @@ def write_token_file(path, stream: TokenStream) -> None:
             f"group vocabulary {max_product} exceeds the "
             f"{max(_TOKEN_DTYPES)}-bit token width"
         )
+    return width
+
+
+def write_token_file(path, stream: TokenStream) -> None:
+    """Write a token stream; width is the smallest of u16/u32 that fits."""
+    scheme = stream.scheme
+    width = token_width(scheme)
     rate = _check_rate(stream.frame_rate_hz, ValidationError)
     header = _TOKEN_HEADER.pack(
         TOKEN_MAGIC,
@@ -191,7 +203,7 @@ def read_token_file(path) -> TokenStream:
     radices = np.frombuffer(raw, dtype="<u2", count=dim, offset=offset)
     offset += 2 * dim
     try:
-        scheme = RadixScheme(radices=tuple(int(r) for r in radices), group_size=group_size)
+        scheme = RadixScheme(radices=radices, group_size=group_size)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid radix table ({exc})") from exc
     if scheme.group_count != group_count:
@@ -199,19 +211,15 @@ def read_token_file(path) -> TokenStream:
             f"{path}: header group count {group_count} does not match "
             f"{scheme.group_count} derived from {dim} dimensions"
         )
-    dtype = _TOKEN_DTYPES[width]
     expected = offset + (width // 8) * frames * group_count
     if len(raw) != expected:
         raise FormatError(
             f"{path}: payload size {len(raw) - offset} does not match header "
             f"({frames} x {group_count} x u{width})"
         )
-    tokens = np.frombuffer(raw, dtype=dtype, offset=offset).reshape(frames, group_count)
-    # TokenStream revalidates every token against its group vocabulary and
-    # raises ValidationError naming the offending frame and group.
-    return TokenStream(
-        tokens=tokens.astype(np.uint64), scheme=scheme, frame_rate_hz=frame_rate
-    )
+    tokens = np.frombuffer(raw, dtype=_TOKEN_DTYPES[width], offset=offset)
+    # TokenStream makes the one uint64 copy and checks each token's vocabulary
+    return TokenStream(tokens.reshape(frames, group_count), scheme, frame_rate)
 
 
 def write_mask_file(path, mask: np.ndarray) -> None:

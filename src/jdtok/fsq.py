@@ -107,7 +107,7 @@ def _finite_rows(values, levels: FsqLevels) -> np.ndarray:
         values = values.astype(np.float64, copy=False)
     _check_rows(values, levels, "array")
     if not np.all(np.isfinite(values)):
-        raise ValueError("input contains non-finite values")
+        raise ValidationError("input contains non-finite values")
     return values
 
 

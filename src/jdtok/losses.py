@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "StftConfig",
     "DiscriminatorOutputs",
@@ -84,27 +86,14 @@ def l1_loss(x_hat: np.ndarray, x: np.ndarray) -> float:
     x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
     x = np.asarray(x, dtype=np.float64).ravel()
     if x_hat.shape != x.shape:
-        raise ValueError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
+        raise ValidationError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
     if x.size == 0:
-        raise ValueError("empty waveform")
+        raise ValidationError("empty waveform")
     return float(np.mean(np.abs(x_hat - x)))
 
 
 def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def _resolve_window(window, fft_size: int) -> np.ndarray:
-    if isinstance(window, str):
-        if window == "hann":
-            return _hann_periodic(fft_size)
-        if window in ("rect", "rectangular"):
-            return np.ones(fft_size)
-        raise ValueError(f"unknown window {window!r}")
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (fft_size,):
-        raise ValueError(f"window length {window.shape} != fft size {fft_size}")
-    return window
 
 
 # Samples per signal that one block of the multi-resolution loss transforms:
@@ -123,7 +112,7 @@ def _reflect_pad(signals, fft_size: int) -> np.ndarray:
     """
     length = signals[0].size
     if length < fft_size:
-        raise ValueError(
+        raise ValidationError(
             f"input of {length} samples is shorter than the fft size {fft_size}"
         )
     pad = fft_size // 2
@@ -148,25 +137,27 @@ def _frames(padded: np.ndarray, padded_fft: int, fft_size: int, hop: int) -> np.
 
 
 def stft_magnitude(
-    x: np.ndarray, fft_size: int, hop: int, window="hann"
+    x: np.ndarray, fft_size: int, hop: int, window: str = "hann"
 ) -> np.ndarray:
     """Magnitude spectrogram [bins, frames] of a 1-D waveform.
 
     Frames are centered (reflect padding by fft_size // 2 on both ends) and
     hopped by ``hop``; bins = fft_size // 2 + 1.  ``window`` is "hann"
-    (periodic, the default), "rect", or an explicit length-fft_size array.
+    (periodic, the default) or "rect".
     """
+    if not isinstance(window, str) or window not in ("hann", "rect"):
+        raise ValueError(f"unknown window {window!r}")
     x = np.ravel(x)
     padded = _reflect_pad([x], fft_size)
     frames = _frames(padded, fft_size, fft_size, hop)[0]
-    win = _resolve_window(window, fft_size)
+    win = _hann_periodic(fft_size) if window == "hann" else np.ones(fft_size)
     return np.abs(np.fft.rfft(frames * win, axis=1)).T
 
 
 def _convergence(diff_energy: float, ref_energy: float) -> float:
     """sqrt(diff_energy / ref_energy): the spectral convergence of two sums."""
     if ref_energy == 0.0:
-        raise ValueError("reference magnitudes are all zero (silent reference)")
+        raise ValidationError("reference magnitudes are all zero (silent reference)")
     return float(np.sqrt(diff_energy / ref_energy))
 
 
@@ -187,23 +178,13 @@ def spectral_convergence(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
     return _convergence(diff @ diff, ref @ ref)
 
 
-def log_magnitude_l1(
-    s_ref: np.ndarray,
-    s_hat: np.ndarray,
-    floor: float = 1e-7,
-    num_elements: int | None = None,
-) -> float:
-    """Mean absolute log-magnitude difference, floored before the log.
-
-    ``num_elements`` defaults to the element count of the magnitude tensor.
-    """
+def log_magnitude_l1(s_ref: np.ndarray, s_hat: np.ndarray, floor: float = 1e-7) -> float:
+    """Mean absolute log-magnitude difference, floored before the log."""
     s_ref = np.asarray(s_ref, dtype=np.float64)
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_ref.shape != s_hat.shape:
         raise ValueError(f"shape mismatch: {s_ref.shape} vs {s_hat.shape}")
-    if num_elements is None:
-        num_elements = s_ref.size
-    return float(_log_distance(s_ref, s_hat, floor) / num_elements)
+    return float(_log_distance(s_ref, s_hat, floor) / s_ref.size)
 
 
 def multi_res_stft(
@@ -225,9 +206,9 @@ def multi_res_stft(
     x_hat = np.ravel(x_hat)
     x = np.ravel(x)
     if x_hat.shape != x.shape:
-        raise ValueError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
+        raise ValidationError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
     if not (np.isfinite(x_hat).all() and np.isfinite(x).all()):
-        raise ValueError("input contains non-finite values")
+        raise ValidationError("input contains non-finite values")
     widest = max(cfg.fft_sizes)
     padded = _reflect_pad([x_hat, x], widest)
     per_resolution: list[tuple[float, float]] = []

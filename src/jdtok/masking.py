@@ -53,7 +53,7 @@ class MaskConfig:
         span_max: maximum span length in frames, or None for the adaptive
             rule ``T // 4`` (never below span_min, so short sequences stay
             maskable).
-        seed: 64-bit seed for the pseudorandom source.
+        seed: non-negative seed for the pseudorandom source.
     """
 
     mask_ratio: float = 0.5
@@ -66,6 +66,8 @@ class MaskConfig:
             raise ConfigError(f"mask_ratio must be in [0, 1], got {self.mask_ratio}")
         if self.span_min < 1:
             raise ConfigError(f"span_min must be >= 1, got {self.span_min}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.span_max is not None and self.span_max < self.span_min:
             raise ConfigError(
                 f"span_max ({self.span_max}) must be >= span_min ({self.span_min})"

@@ -93,18 +93,23 @@ class RadixScheme:
 
 def build_scheme(levels, group_size: int = 7) -> RadixScheme:
     """Derive the packing scheme from quantizer levels (radix = level count)."""
-    if isinstance(levels, FsqLevels):
-        radices = levels.levels
-    else:
-        radices = tuple(levels)
+    radices = levels.levels if isinstance(levels, FsqLevels) else levels
     return RadixScheme(radices=radices, group_size=group_size)
 
 
-def _check_vocabulary(tokens: np.ndarray, scheme: RadixScheme) -> None:
-    """Reject the first uint64 token above its group's largest, ``product - 1``.
+def _checked_tokens(tokens, scheme: RadixScheme) -> np.ndarray:
+    """Integer ``tokens`` as [frames, groups] uint64, each at most its group's ``product - 1``.
 
-    The largest token always fits in uint64, even for a 2**64 vocabulary.
+    That largest token always fits in uint64, even for a 2**64 vocabulary.
     """
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or tokens.shape[1] != scheme.group_count:
+        raise ValueError(
+            f"expected a [frames, {scheme.group_count}] token array, got shape {tokens.shape}"
+        )
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValidationError(f"tokens must be integers, got dtype {tokens.dtype}")
+    tokens = tokens.astype(np.uint64, copy=False)
     largest = np.array([p - 1 for p in scheme.group_products], dtype=np.uint64)
     bad = tokens > largest
     if np.any(bad):
@@ -113,6 +118,12 @@ def _check_vocabulary(tokens: np.ndarray, scheme: RadixScheme) -> None:
             f"token {tokens[f, g]} at frame {f}, group {g} exceeds the group "
             f"vocabulary {scheme.group_products[g]}"
         )
+    return tokens
+
+
+def _radix_table(scheme: RadixScheme) -> np.ndarray:
+    """The padded radices as a uint64 [groups, group_size] table."""
+    return np.array(scheme.padded_radices, dtype=np.uint64).reshape(scheme.group_count, -1)
 
 
 @dataclass(frozen=True)
@@ -124,16 +135,7 @@ class TokenStream:
     frame_rate_hz: float
 
     def __post_init__(self) -> None:
-        tokens = np.asarray(self.tokens, dtype=np.uint64)
-        if tokens.ndim != 2:
-            raise ValueError(f"tokens must be [frames, groups], got shape {tokens.shape}")
-        if tokens.shape[1] != self.scheme.group_count:
-            raise ValueError(
-                f"token columns ({tokens.shape[1]}) != scheme group count "
-                f"({self.scheme.group_count})"
-            )
-        _check_vocabulary(tokens, self.scheme)
-        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "tokens", _checked_tokens(self.tokens, self.scheme))
 
     @property
     def frame_count(self) -> int:
@@ -176,27 +178,28 @@ def unpack_group(token: int, radices) -> list[int]:
 
 
 def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
-    """Pack a [frames, D] index array into [frames, groups] tokens (:func:`pack_group`)."""
-    indices = np.asarray(indices, dtype=np.int64)
+    """Pack [frames, D] integer indices into [frames, groups] tokens (:func:`pack_group`)."""
+    indices = np.asarray(indices)
     if indices.ndim != 2 or indices.shape[1] != scheme.dim:
         raise ValueError(
             f"expected a [frames, {scheme.dim}] index array, got shape {indices.shape}"
         )
-    radices = np.array(scheme.padded_radices, dtype=np.uint64).reshape(
-        scheme.group_count, scheme.group_size
-    )
-    hi = np.array(scheme.radices, dtype=np.int64)
-    bad = (indices < 0) | (indices >= hi)
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
+    radices = _radix_table(scheme)
+    frames = indices.shape[0]
+    padded = np.zeros((frames, *radices.shape), dtype=np.uint64)
+    padded.reshape(frames, radices.size)[:, : scheme.dim] = indices
+    # one comparison: a negative digit wraps above every radix in uint64
+    bad = padded >= radices
     if np.any(bad):
-        f, d = np.argwhere(bad)[0]
+        f, g, k = np.argwhere(bad)[0]
+        d = g * scheme.group_size + k
         raise ValidationError(
             f"digit {indices[f, d]} at frame {f}, dimension {d} out of range "
             f"for radix {scheme.radices[d]}"
         )
-    padded = np.zeros((indices.shape[0], scheme.group_count * scheme.group_size), dtype=np.uint64)
-    padded[:, : scheme.dim] = indices
-    padded = padded.reshape(indices.shape[0], scheme.group_count, scheme.group_size)
-    tokens = np.zeros((indices.shape[0], scheme.group_count), dtype=np.uint64)
+    tokens = np.zeros((frames, scheme.group_count), dtype=np.uint64)
     for pos in range(scheme.group_size):
         tokens = tokens * radices[None, :, pos] + padded[:, :, pos]
     return tokens
@@ -204,15 +207,8 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
 
 def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
     """Invert :func:`pack_frames`, dropping the pad digits."""
-    tokens = np.asarray(tokens, dtype=np.uint64)
-    if tokens.ndim != 2 or tokens.shape[1] != scheme.group_count:
-        raise ValueError(
-            f"expected a [frames, {scheme.group_count}] token array, got shape {tokens.shape}"
-        )
-    _check_vocabulary(tokens, scheme)
-    radices = np.array(scheme.padded_radices, dtype=np.uint64).reshape(
-        scheme.group_count, scheme.group_size
-    )
+    tokens = _checked_tokens(tokens, scheme)
+    radices = _radix_table(scheme)
     # digit k of group g fills row g * group_size + k with frames along the
     # row, so the [D, frames] transpose that dequantization reads is contiguous
     digits = np.empty(

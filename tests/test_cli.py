@@ -588,7 +588,7 @@ class TestConfigGateComponents:
 
 
 class TestFullWidthVocabulary:
-    def test_tokenize_exits_3_without_output_or_traceback(self, tmp_path):
+    def test_tokenize_exits_2_without_output_or_traceback(self, tmp_path):
         # [2] * 64 in one group: a 2**64 vocabulary, beyond the 32-bit width
         cfg = write_config(tmp_path / "c.cfg", [2] * 64, 64)
         feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
@@ -599,7 +599,7 @@ class TestFullWidthVocabulary:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 3
+        assert proc.returncode == 2
         assert proc.stdout == ""
         assert "exceeds the 32-bit token width" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -615,3 +615,69 @@ class TestFullWidthVocabulary:
         assert proc.returncode == 0
         assert "bits/sec: 160\n" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+
+class TestExitCodesFromErrorTypes:
+    """Exit codes come from the error types alone; a bare ValueError is a fault."""
+
+    def test_negative_mask_seed_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["mask", "--frames", "10", "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
+
+    def test_bare_value_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a fault in the program")
+
+        monkeypatch.setattr("jdtok.cli.fsq_quantize", broken)
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        write_features(feat, 3)
+        with pytest.raises(ValueError, match="a fault in the program"):
+            main(["tokenize", "--in", str(feat), "--out", str(tok)])
+
+    @pytest.mark.parametrize("levels", [[70000, 70000], [2**64]], ids=["70000-levels", "2**64-radix"])
+    def test_unserializable_scheme_exits_2_before_reading_input(self, tmp_path, capsys, levels):
+        cfg = write_config(tmp_path / "c.cfg", levels, 1)
+        out = tmp_path / "t.jdt"
+        missing = str(tmp_path / "missing.jdf")  # exit 5 if it were opened
+        assert main(["tokenize", "--config", cfg, "--in", missing, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"radices above 65535 are not serializable (got {levels[0]})" in captured.err
+        assert main(["info", "--config", cfg]) == 0
+        assert f"per-token vocabulary: {levels[0]}" in capsys.readouterr().out
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["info", "--config", str(cfg)]) == 2
+        assert "can't decode" in capsys.readouterr().err
+
+    def test_zero_channel_header_of_unaddressable_frames_exits_3(self, tmp_path, capsys):
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        feat.write_bytes(struct.pack("<4sIIQd", b"JDF1", 1, 0, 2**63, 2.5))
+        assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 3
+        assert not tok.exists()
+        assert "exceeds the addressable size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ref, hyp, message",
+        [
+            (np.zeros(0), np.zeros(0), "empty waveform"),
+            (np.full(4096, np.nan), np.zeros(4096), "non-finite"),
+            (np.r_[np.ones(4095), np.inf], np.ones(4096), "non-finite"),
+        ],
+        ids=["empty", "nan-reference", "inf-reference"],
+    )
+    def test_score_rejections_exit_4(self, tmp_path, capsys, ref, hyp, message):
+        a, b = tmp_path / "ref.jdf", tmp_path / "hyp.jdf"
+        write_feature_file(a, ref[None, :].astype(np.float32), 24000.0)
+        write_feature_file(b, hyp[None, :].astype(np.float32), 24000.0)
+        assert main(["score", "--ref", str(a), "--hyp", str(b)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

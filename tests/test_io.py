@@ -101,6 +101,19 @@ class TestFeatureFile:
         np.testing.assert_array_equal(back, data)
         assert back.flags.writeable
 
+    @pytest.mark.parametrize("frames", [2**61, 2**62, 2**64 - 1])
+    def test_zero_channels_of_unaddressable_frames_rejected(self, tmp_path, frames):
+        # the payload is empty, as the header says, but numpy cannot shape it
+        path = tmp_path / "z.jdf"
+        path.write_bytes(struct.pack("<4sIIQd", FEATURE_MAGIC, 1, 0, frames, 2.5))
+        with pytest.raises(FormatError, match=f"frame count {frames} exceeds"):
+            read_feature_file(path)
+
+    def test_zero_channels_round_trip(self, tmp_path):
+        path = tmp_path / "z.jdf"
+        write_feature_file(path, np.zeros((0, 7), dtype=np.float32), 2.5)
+        assert read_feature_file(path)[0].shape == (0, 7)
+
     @pytest.mark.parametrize("rate", BAD_RATES)
     def test_unusable_frame_rate_rejected(self, tmp_path, rate):
         path = tmp_path / "r.jdf"
@@ -144,6 +157,33 @@ class TestTokenFile:
         base16 = p16.stat().st_size - 2 * 7
         base32 = p32.stat().st_size - 2 * 17
         assert base16 - 2 == base32 - 4
+
+    @pytest.mark.parametrize(
+        "radices, group_size, width",
+        [([65535], 1, 16), ([2] * 16, 16, 16), ([2] * 17, 17, 32), ([65535, 65535], 2, 32), ([2] * 32, 32, 32)],
+    )
+    def test_token_width_is_the_narrowest_that_fits(self, tmp_path, radices, group_size, width):
+        scheme = build_scheme(radices, group_size)
+        assert fileio.token_width(scheme) == width
+        path = tmp_path / "w.jdt"
+        write_token_file(path, TokenStream(np.zeros((2, 1), dtype=np.uint64), scheme, 1.0))
+        assert struct.unpack_from("<I", path.read_bytes(), 20)[0] == width
+        back = read_token_file(path)
+        assert back.tokens.dtype == np.uint64
+        assert back.scheme == scheme
+
+    @pytest.mark.parametrize(
+        "radices, group_size, message",
+        [
+            ([65536], 1, "radices above 65535 are not serializable \\(got 65536\\)"),
+            ([2**64], 1, "radices above 65535"),
+            ([2] * 33, 33, "group vocabulary 8589934592 exceeds the 32-bit token width"),
+            ([2] * 64, 64, "exceeds the 32-bit token width"),
+        ],
+    )
+    def test_token_width_rejects_what_the_format_cannot_hold(self, radices, group_size, message):
+        with pytest.raises(FormatError, match=message):
+            fileio.token_width(build_scheme(radices, group_size))
 
     def test_oversized_vocabulary_rejected(self, tmp_path):
         scheme = build_scheme([2] * 33, group_size=33)  # 2**33 > 32-bit
@@ -333,6 +373,12 @@ class TestConfig:
     def test_invalid_configs(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_undecodable_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"levels = [4]\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="can't decode"):
+            load_config(path)
 
     def test_group_larger_than_dimensions(self):
         with pytest.raises(ConfigError, match="group_size"):

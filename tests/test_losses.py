@@ -143,6 +143,11 @@ class TestStftMagnitude:
             energy = n_fft * np.sum(frame**2)
             np.testing.assert_allclose(power, energy, rtol=1e-9)
 
+    @pytest.mark.parametrize("window", ["rectangular", "hamming", np.ones(128), None])
+    def test_only_hann_and_rect_windows(self, window):
+        with pytest.raises(ValueError, match="unknown window"):
+            stft_magnitude(np.zeros(512), 128, 32, window=window)
+
 
 class TestSpectralConvergence:
     def test_identical(self):

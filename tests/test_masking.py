@@ -108,6 +108,7 @@ class TestGenerateBlockMask:
             dict(mask_ratio=1.5),
             dict(span_min=0),
             dict(span_min=5, span_max=4),
+            dict(seed=-1),
         ],
     )
     def test_invalid_config(self, kwargs):

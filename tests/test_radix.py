@@ -294,3 +294,137 @@ class TestTokenRate:
     def test_zero_hop_rejected(self):
         with pytest.raises(ValueError):
             token_rate(24000, 0, 19)
+
+
+INT_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64]
+NON_INT_DTYPES = [np.float64, np.float32, np.bool_]
+UNEVEN = build_scheme([5, 4, 3, 2, 7], group_size=3)  # products 60, 14
+FULL_WIDTH = build_scheme([2] * 64, group_size=64)  # product 2**64
+
+
+def outcome(call):
+    """``None`` if ``call()`` returns, else the type and message it raised."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the outcome itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+def token_cases(dtype):
+    """(name, scheme, tokens, expected): expected is None or (type, message part)."""
+    big = np.iinfo(dtype).max if np.issubdtype(dtype, np.integer) else 1
+    low = np.iinfo(dtype).min if np.issubdtype(dtype, np.integer) else 0
+    width = (ValueError, "expected a [frames, 2] token array")
+    return [
+        ("largest", UNEVEN, [[59, 13], [0, 0]], None),
+        ("group 1 at product", UNEVEN, [[59, 14]], (ValidationError, "frame 0, group 1 exceeds the group vocabulary 14")),
+        ("group 0 at product", UNEVEN, [[0, 0], [60, 0]], (ValidationError, "frame 1, group 0 exceeds the group vocabulary 60")),
+        ("one-dimensional", UNEVEN, [59, 13], width),
+        ("one group short", UNEVEN, [[0], [0]], width),
+        ("one group over", UNEVEN, [[0, 0, 0]], width),
+        ("no frames", UNEVEN, np.zeros((0, 2)), None),
+        ("full width, largest of dtype", FULL_WIDTH, [[big], [0]], None),
+        ("smallest of dtype", UNEVEN, [[low, 0]], None if low == 0 else (ValidationError, "at frame 0, group 0 exceeds")),
+        ("full width, no frames", FULL_WIDTH, np.zeros((0, 1)), None),
+    ]
+
+
+class TestOneTokenValidator:
+    """TokenStream and unpack_frames check tokens through one function."""
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES + NON_INT_DTYPES, ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("case", range(len(token_cases(np.int8))))
+    def test_same_outcome_from_both_callers(self, dtype, case):
+        _, scheme, tokens, expected = token_cases(dtype)[case]
+        tokens = np.array(tokens, dtype=dtype)
+        stream = outcome(lambda: TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=2.5))
+        assert stream == outcome(lambda: unpack_frames(tokens, scheme))
+        if np.issubdtype(dtype, np.integer):
+            if expected is None:
+                assert stream is None
+            else:
+                assert stream[0] is expected[0]
+                assert expected[1] in stream[1]
+        elif tokens.ndim == 2 and tokens.shape[1] == scheme.group_count:
+            assert stream == (ValidationError, f"tokens must be integers, got dtype {tokens.dtype}")
+
+    def test_top_token_of_a_2_64_vocabulary_is_accepted(self):
+        tokens = np.array([[(1 << 64) - 1]], dtype=np.uint64)
+        stream = TokenStream(tokens=tokens, scheme=FULL_WIDTH, frame_rate_hz=2.5)
+        assert int(stream.tokens[0, 0]) == (1 << 64) - 1
+        np.testing.assert_array_equal(unpack_frames(tokens, FULL_WIDTH), np.ones((1, 64)))
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_stream_stores_uint64_and_unpacks_like_uint64(self, dtype):
+        tokens = np.array([[59, 13], [7, 0]], dtype=dtype)
+        stream = TokenStream(tokens=tokens, scheme=UNEVEN, frame_rate_hz=2.5)
+        assert stream.tokens.dtype == np.uint64
+        np.testing.assert_array_equal(stream.tokens, tokens)
+        np.testing.assert_array_equal(
+            unpack_frames(tokens, UNEVEN), unpack_frames(tokens.astype(np.uint64), UNEVEN)
+        )
+
+
+class TestPackDigits:
+    """pack_frames checks digits once and names each one as the caller gave it."""
+
+    @pytest.mark.parametrize(
+        "frame, dim, digit",
+        [
+            (1, 4, 7),  # padded last group (2, 7, 1), at its radix
+            (2, 4, -1),
+            (0, 3, -1),
+            (1, 3, 2),
+            (2, 1, -1),  # full first group (5, 4, 3)
+            (0, 0, 5),
+            (2, 2, np.iinfo(np.int64).min),
+        ],
+    )
+    def test_bad_digit_names_frame_and_real_dimension(self, frame, dim, digit):
+        frames = np.zeros((3, 5), dtype=np.int64)
+        frames[frame, dim] = digit
+        with pytest.raises(ValidationError) as info:
+            pack_frames(frames, UNEVEN)
+        radix = UNEVEN.radices[dim]
+        assert str(info.value) == (
+            f"digit {digit} at frame {frame}, dimension {dim} out of range for radix {radix}"
+        )
+
+    def test_first_bad_digit_is_named(self):
+        frames = np.zeros((3, 5), dtype=np.int64)
+        frames[1, 4] = 7
+        frames[1, 0] = 9
+        frames[0, 3] = -1
+        with pytest.raises(ValidationError, match="digit -1 at frame 0, dimension 3 "):
+            pack_frames(frames, UNEVEN)
+
+    def test_unsigned_digit_is_named_as_given(self):
+        frames = np.zeros((1, 5), dtype=np.uint64)
+        frames[0, 2] = (1 << 64) - 1
+        with pytest.raises(ValidationError, match=f"digit {(1 << 64) - 1} at frame 0, dimension 2 "):
+            pack_frames(frames, UNEVEN)
+
+    def test_largest_digits_pack(self):
+        largest = np.array([[4, 3, 2, 1, 6]])
+        np.testing.assert_array_equal(pack_frames(largest, UNEVEN), [[59, 13]])
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_every_integer_width_packs_alike(self, dtype):
+        rng = np.random.default_rng(5)
+        frames = np.stack([rng.integers(0, r, size=40) for r in UNEVEN.radices], axis=1)
+        np.testing.assert_array_equal(
+            pack_frames(frames.astype(dtype), UNEVEN), pack_frames(frames, UNEVEN)
+        )
+
+    @pytest.mark.parametrize("dtype", NON_INT_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_non_integer_digits_rejected(self, dtype):
+        # 3.9 and 1.2 once truncated to 3 and 1, packing to token 13
+        frames = np.array([[3.9, 1.2]]).astype(dtype)
+        with pytest.raises(ValidationError, match=f"indices must be integers, got dtype {np.dtype(dtype)}"):
+            pack_frames(frames, build_scheme([4, 4], 2))
+
+    def test_radix_of_2_64_constructs(self):
+        scheme = build_scheme([2**64], 1)
+        assert scheme.radices == (2**64,)
+        assert scheme.group_products == (2**64,)
