@@ -3,8 +3,10 @@
 
 Draws random (signal, parameter) instances, compares every partial
 derivative of the gate (mean offsets, log-scales, input) with a central
-difference at step h, and reports the worst error per gradient block.
-Exits 1 if any block fails.
+difference at step h, and the vector-Jacobian products of
+``daam_gate_vjp`` with central differences of g^T G for a random
+cotangent g.  Reports the worst error per gradient block and exits 1 if
+any block fails.
 
 Example:
     python3 scripts/gate_grad_check.py --instances 200 --step 1e-4
@@ -15,7 +17,7 @@ import sys
 
 import numpy as np
 
-from jdtok.daam import DaamParams, daam_gate, daam_gate_grad
+from jdtok.daam import DaamParams, daam_gate, daam_gate_grad, daam_gate_vjp
 
 
 def finite_difference(x, params, h):
@@ -54,22 +56,33 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    worst = {"offsets": 0.0, "log_scales": 0.0, "input": 0.0}
+    # cotangents come from their own stream, so the instances stay those of rng alone
+    cotangents = np.random.default_rng([args.seed, 1])
+    worst = dict.fromkeys(
+        ("offsets", "log_scales", "input", "vjp_offsets", "vjp_log_scales", "vjp_input"), 0.0
+    )
     for trial in range(args.instances):
         k = [1, 2, 4][trial % 3]
         t = int(rng.integers(4, 65))
         params = DaamParams(rng.uniform(-1, 1, k), rng.uniform(-2, 1, k))
         x = rng.standard_normal(t) * float(rng.uniform(0.5, 3.0))
-        analytic = daam_gate_grad(x, params)
-        oracle = finite_difference(x, params, args.step)
-        for name, a, o in zip(worst, analytic, oracle):
-            err = float(np.max(np.abs(a - o) / np.maximum(np.abs(o), 1e-4)))
+        g = cotangents.standard_normal(t)
+        analytic = (*daam_gate_grad(x, params), *daam_gate_vjp(x, params, g)[1:])
+        fd_off, fd_log, fd_in = finite_difference(x, params, args.step)
+        # central differences of g^T G are those of G contracted with g
+        oracle = (fd_off, fd_log, fd_in, fd_off @ g, fd_log @ g, g @ fd_in)
+        # a contraction is judged against the summed size of its terms, which
+        # bounds the differencing error it accumulates
+        mag = [np.abs(o) for o in oracle[:3]]
+        scale = (*mag, mag[0] @ np.abs(g), mag[1] @ np.abs(g), np.abs(g) @ mag[2])
+        for name, a, o, s in zip(worst, analytic, oracle, scale):
+            err = float(np.max(np.abs(a - o) / np.maximum(s, 1e-4)))
             worst[name] = np.maximum(worst[name], err)  # keeps a NaN
 
     passed = {name: err < 1e-4 for name, err in worst.items()}
     for name, err in worst.items():
         status = "ok" if passed[name] else "FAIL"
-        print(f"{name:<12} worst rel err {err:.3e}  [{status}]")
+        print(f"{name:<14} worst rel err {err:.3e}  [{status}]")
     return 0 if all(passed.values()) else 1
 
 

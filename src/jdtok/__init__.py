@@ -8,7 +8,7 @@ loss functions.
 """
 
 from .config import CodecConfig, load_config, parse_config
-from .daam import DaamParams, apply_gate, daam_gate, daam_gate_grad, gattn_modulate, temporal_stats
+from .daam import DaamParams, apply_gate, daam_gate, daam_gate_grad, daam_gate_vjp, gattn_modulate
 from .ema import collapse_std, ema_update
 from .errors import ConfigError, FormatError, ValidationError
 from .fsq import (

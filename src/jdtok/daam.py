@@ -20,7 +20,13 @@ The reference path runs in float64; pass ``dtype=np.float32`` for the
 production-precision path.  ``daam_gate_grad`` returns exact analytic
 derivatives of the gate with respect to the mean offsets, the log-scales,
 and the input (chain rule through the temporal statistics), so the gate can
-be trained or verified without an autodiff framework.
+be trained or verified without an autodiff framework.  Both gradients come
+from one forward pass and three length-T factors a, b and dsigma:
+
+  - ``daam_gate_grad`` builds the dense [T, T] input Jacobian
+    ``diag(a) + [b, -a/T] @ [dsigma; 1]`` with one rank-2 GEMM;
+  - ``daam_gate_vjp`` contracts every Jacobian with a cotangent g in
+    O(K T) time and memory, never forming a [T, T] array.
 
 Statistics are computed per signal: batched callers should invoke these
 functions once per row, never pooling moments across rows.  Multi-channel
@@ -35,9 +41,9 @@ import numpy as np
 
 __all__ = [
     "DaamParams",
-    "temporal_stats",
     "daam_gate",
     "daam_gate_grad",
+    "daam_gate_vjp",
     "apply_gate",
     "gattn_modulate",
 ]
@@ -145,19 +151,6 @@ def _check_signal(x: np.ndarray) -> None:
         raise ValueError("input contains non-finite values")
 
 
-def temporal_stats(x: np.ndarray, var_floor: float = 1e-6) -> tuple[float, float]:
-    """Mean and floored population variance of a 1-D signal.
-
-    Variance uses 1/T normalization (not 1/(T-1)) and is clamped from below
-    by ``var_floor`` so constant signals still standardize.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _check_signal(x)
-    mean = float(x.mean())
-    var = float(np.mean((x - mean) ** 2))
-    return mean, max(var, var_floor)
-
-
 def _gate_forward(x: np.ndarray, params: DaamParams, dtype):
     """The gate in ``dtype``, with the intermediates its gradient reuses."""
     x = np.asarray(x, dtype=dtype)
@@ -191,26 +184,12 @@ def daam_gate(x: np.ndarray, params: DaamParams, dtype=np.float64) -> np.ndarray
     return _gate_forward(x, params, dtype)[0]
 
 
-def daam_gate_grad(
-    x: np.ndarray, params: DaamParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic derivatives of the gate, in float64.
+def _gate_factors(x: np.ndarray, params: DaamParams):
+    """One float64 forward pass and the factors of every gate derivative.
 
-    Returns:
-        ``(d_offsets, d_log_scales, d_input)`` where
-        ``d_offsets[k, t] = dG_t / d delta_k``,
-        ``d_log_scales[k, t] = dG_t / d nu_k`` and
-        ``d_input[t, s] = dG_t / d x_s``.
-
-    The input Jacobian is built in closed form, never as a [K, T, T] tensor:
-
-        d_input = diag(a) - (a / T) 1^T + b dsigma^T
-        a_t = -G_t sum_k w_kt z_kt / denom_k       (through x_t and the mean)
-        b_t = G_t sum_k w_kt z_kt^2 s_k / denom_k  (through sigma)
-
-    where ``w`` are the component responsibilities and ``dsigma_s = (x_s -
-    mu) / (T sigma)``, zero while the variance floor is engaged (the clamp is
-    flat there).
+    Returns ``(gate, d_offsets, d_log_scales, a, b, d_sigma)``: the parameter
+    Jacobians in full ([K, T] each) and the three length-T factors of the
+    input Jacobian ``diag(a) - (a / T) 1^T + b d_sigma^T``.
     """
     gate, log_p, log_norm, z, denom, st, sigma, dev, var_raw = _gate_forward(
         x, params, np.float64
@@ -234,10 +213,57 @@ def daam_gate_grad(
     # d_offsets[k, t] = G_t w_kt z_kt / denom_k, so a and b are sums over it
     a = -d_offsets.sum(axis=0)
     b = (d_offsets * z * st[:, None]).sum(axis=0)
-    d_input = np.outer(b, d_sigma)
-    d_input -= (a / t)[:, None]
+    return gate, d_offsets, d_log_scales, a, b, d_sigma
+
+
+def daam_gate_grad(
+    x: np.ndarray, params: DaamParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic derivatives of the gate, in float64.
+
+    Returns:
+        ``(d_offsets, d_log_scales, d_input)`` where
+        ``d_offsets[k, t] = dG_t / d delta_k``,
+        ``d_log_scales[k, t] = dG_t / d nu_k`` and
+        ``d_input[t, s] = dG_t / d x_s``.
+
+    The input Jacobian is built in closed form, never as a [K, T, T] tensor:
+
+        d_input = diag(a) - (a / T) 1^T + b dsigma^T
+                = diag(a) + [b, -a / T] @ [dsigma; 1]      (one [T, 2] @ [2, T] GEMM)
+        a_t = -G_t sum_k w_kt z_kt / denom_k       (through x_t and the mean)
+        b_t = G_t sum_k w_kt z_kt^2 s_k / denom_k  (through sigma)
+
+    where ``w`` are the component responsibilities and ``dsigma_s = (x_s -
+    mu) / (T sigma)``, zero while the variance floor is engaged (the clamp is
+    flat there).  The [T, T] result is the only array of that size.  Callers
+    that contract the Jacobian with a cotangent want :func:`daam_gate_vjp`.
+    """
+    _, d_offsets, d_log_scales, a, b, d_sigma = _gate_factors(x, params)
+    t = a.size
+    # b dsigma^T comes first: the tests pin the result bit for bit against the
+    # outer product minus a / T, and a swapped order rounds differently
+    d_input = np.stack([b, -a / t], axis=1) @ np.stack([d_sigma, np.ones(t)])
     d_input.flat[:: t + 1] += a
     return d_offsets, d_log_scales, d_input
+
+
+def daam_gate_vjp(
+    x: np.ndarray, params: DaamParams, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The gate and its derivatives contracted with a cotangent ``g``, in float64.
+
+    Returns ``(gate, g_offsets, g_log_scales, g_input)``, equal to ``gate``
+    and ``g @ J`` for each Jacobian ``J`` of :func:`daam_gate_grad`.  The input
+    term ``g_input = g a - (g^T a / T) 1 + (g^T b) dsigma`` comes from the same
+    factors, so time and memory are O(K T): no [T, T] array is formed.
+    """
+    gate, d_offsets, d_log_scales, a, b, d_sigma = _gate_factors(x, params)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != gate.shape:
+        raise ValueError(f"cotangent shape {g.shape} does not match the signal's {gate.shape}")
+    g_input = g * a - (g @ a) / a.size + (g @ b) * d_sigma
+    return gate, d_offsets @ g, d_log_scales @ g, g_input
 
 
 def apply_gate(

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 MAX_GROUP_PRODUCT = 1 << 64
+# a negative integer cast to uint64 wraps to at least this, above any smaller bound
+_WRAP = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class RadixScheme:
 
     ``radices`` holds one radix per real dimension; the final group is padded
     with radix-1 dimensions up to a multiple of ``group_size``, which may not
-    exceed the dimension count.  The derived padded layout and per-group
-    vocabularies are computed once, at construction.
+    exceed the dimension count.  The derived padded layout, per-group
+    vocabularies and the packing table are computed once, at construction.
     """
 
     radices: tuple[int, ...]
@@ -53,6 +55,13 @@ class RadixScheme:
     padded_radices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     group_radices: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     group_products: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the padded radices modulo 2**64 as a read-only uint64 [groups, group_size]
+    # table: a radix of 2**64 is stored as 0, and its group's other radices are
+    # all 1, so its digit is the group's token
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    # some radix exceeds 2**63: its digits need uint64, and a negative digit
+    # cast to uint64 may wrap below it
+    _wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         radices = tuple(int(r) for r in self.radices)
@@ -77,6 +86,10 @@ class RadixScheme:
         object.__setattr__(self, "padded_radices", padded)
         object.__setattr__(self, "group_radices", groups)
         object.__setattr__(self, "group_products", products)
+        table = np.array([r % MAX_GROUP_PRODUCT for r in padded], dtype=np.uint64)
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table.reshape(len(groups), g))
+        object.__setattr__(self, "_wide", max(radices) > _WRAP)
 
     @property
     def dim(self) -> int:
@@ -98,32 +111,31 @@ def build_scheme(levels, group_size: int = 7) -> RadixScheme:
 
 
 def _checked_tokens(tokens, scheme: RadixScheme) -> np.ndarray:
-    """Integer ``tokens`` as [frames, groups] uint64, each at most its group's ``product - 1``.
+    """Integer ``tokens`` as [frames, groups] uint64, each in ``[0, product)`` of its group.
 
-    That largest token always fits in uint64, even for a 2**64 vocabulary.
+    The largest token, ``product - 1``, always fits in uint64, even for a 2**64 vocabulary.
     """
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 2 or tokens.shape[1] != scheme.group_count:
+    given = np.asarray(tokens)
+    if given.ndim != 2 or given.shape[1] != scheme.group_count:
         raise ValueError(
-            f"expected a [frames, {scheme.group_count}] token array, got shape {tokens.shape}"
+            f"expected a [frames, {scheme.group_count}] token array, got shape {given.shape}"
         )
-    if not np.issubdtype(tokens.dtype, np.integer):
-        raise ValidationError(f"tokens must be integers, got dtype {tokens.dtype}")
-    tokens = tokens.astype(np.uint64, copy=False)
+    if not np.issubdtype(given.dtype, np.integer):
+        raise ValidationError(f"tokens must be integers, got dtype {given.dtype}")
+    tokens = given.astype(np.uint64, copy=False)
     largest = np.array([p - 1 for p in scheme.group_products], dtype=np.uint64)
     bad = tokens > largest
+    if max(scheme.group_products) > _WRAP:
+        bad |= given < 0
     if np.any(bad):
         f, g = np.argwhere(bad)[0]
+        if given[f, g] < 0:
+            raise ValidationError(f"token {given[f, g]} at frame {f}, group {g} is negative")
         raise ValidationError(
-            f"token {tokens[f, g]} at frame {f}, group {g} exceeds the group "
+            f"token {given[f, g]} at frame {f}, group {g} exceeds the group "
             f"vocabulary {scheme.group_products[g]}"
         )
     return tokens
-
-
-def _radix_table(scheme: RadixScheme) -> np.ndarray:
-    """The padded radices as a uint64 [groups, group_size] table."""
-    return np.array(scheme.padded_radices, dtype=np.uint64).reshape(scheme.group_count, -1)
 
 
 @dataclass(frozen=True)
@@ -186,12 +198,15 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
         )
     if not np.issubdtype(indices.dtype, np.integer):
         raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
-    radices = _radix_table(scheme)
+    radices = scheme._table
     frames = indices.shape[0]
     padded = np.zeros((frames, *radices.shape), dtype=np.uint64)
     padded.reshape(frames, radices.size)[:, : scheme.dim] = indices
-    # one comparison: a negative digit wraps above every radix in uint64
-    bad = padded >= radices
+    # radix - 1 wraps a stored 0 to 2**64 - 1; a negative digit wraps above it
+    # unless the radix exceeds 2**63
+    bad = padded > radices - np.uint64(1)
+    if scheme._wide:
+        bad.reshape(frames, radices.size)[:, : scheme.dim] |= indices < 0
     if np.any(bad):
         f, g, k = np.argwhere(bad)[0]
         d = g * scheme.group_size + k
@@ -199,6 +214,7 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
             f"digit {indices[f, d]} at frame {f}, dimension {d} out of range "
             f"for radix {scheme.radices[d]}"
         )
+    # uint64 arithmetic is exact modulo 2**64, and every token is below 2**64
     tokens = np.zeros((frames, scheme.group_count), dtype=np.uint64)
     for pos in range(scheme.group_size):
         tokens = tokens * radices[None, :, pos] + padded[:, :, pos]
@@ -206,18 +222,27 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
 
 
 def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
-    """Invert :func:`pack_frames`, dropping the pad digits."""
+    """Invert :func:`pack_frames`, dropping the pad digits.
+
+    Digits are int64, or uint64 when a radix exceeds 2**63.
+    """
     tokens = _checked_tokens(tokens, scheme)
-    radices = _radix_table(scheme)
+    # a stored 0 (a 2**64 radix) divides by 1 here, and its token is set below
+    radices = np.maximum(scheme._table, np.uint64(1))
     # digit k of group g fills row g * group_size + k with frames along the
     # row, so the [D, frames] transpose that dequantization reads is contiguous
     digits = np.empty(
-        (scheme.group_count, scheme.group_size, tokens.shape[0]), dtype=np.int64
+        (scheme.group_count, scheme.group_size, tokens.shape[0]),
+        dtype=np.uint64 if scheme._wide else np.int64,
     )
     rem = tokens.T
     for pos in range(scheme.group_size - 1, 0, -1):
         rem, _ = np.divmod(rem, radices[:, pos, None], out=(None, digits[:, pos]))
     digits[:, 0] = rem  # in range: every token is below its group product
+    if scheme._wide:
+        for g, pos in np.argwhere(scheme._table == 0):
+            digits[g] = 0
+            digits[g, pos] = tokens[:, g]
     return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
 
 

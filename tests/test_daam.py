@@ -10,8 +10,8 @@ from jdtok.daam import (
     apply_gate,
     daam_gate,
     daam_gate_grad,
+    daam_gate_vjp,
     gattn_modulate,
-    temporal_stats,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -50,17 +50,39 @@ def finite_difference_grads(x, params, h=1e-4):
     return d_off, d_log, d_in
 
 
-def dense_gate_grad(x, params):
-    """The dense construction of the gate derivatives, as a test oracle.
+def temporal_stats(x, var_floor=1e-6):
+    """Mean and floored population variance of a 1-D signal (test oracle).
 
-    Builds dG_t / dx_s from a [K, T, T] tensor through np.eye(T) and an
-    einsum: exact, but O(K T^2) in time and memory.
+    Variance uses 1/T normalization (not 1/(T-1)) and is clamped from below
+    by ``var_floor`` so constant signals still standardize.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("empty input")
+    mean = float(x.mean())
+    var = float(np.mean((x - mean) ** 2))
+    return mean, max(var, var_floor)
+
+
+def gate_from_stats(x, params):
+    """The mixture density at each timestep, standardized by ``temporal_stats``."""
+    mean, var = temporal_stats(x, params.var_floor)
+    st = params.scales()
+    denom = np.sqrt(var) * st + params.eps
+    z = (x[None, :] - (mean + params.mean_offsets)[:, None]) / denom[:, None]
+    return np.mean(np.exp(-0.5 * z * z) / (SQRT_2PI * st[:, None]), axis=0)
+
+
+def oracle_factors(x, params):
+    """The forward pass and parameter Jacobians, as the library computes them.
+
+    Returns ``(gate, w, z, st, denom, d_offsets, d_log_scales, d_sigma)``,
+    bit-identical to the library's own intermediates.
     """
     x = np.asarray(x, dtype=np.float64)
     delta, nu, t = params.mean_offsets, params.log_scales, x.size
-    mu = x.mean()
-    var_raw = float(np.mean((x - mu) ** 2))
-    sigma = np.sqrt(max(var_raw, params.var_floor))
+    mu, var = temporal_stats(x, params.var_floor)
+    sigma = np.sqrt(var)
     st = np.logaddexp(0.0, nu) + params.eps
     denom = sigma * st + params.eps
     z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
@@ -76,14 +98,41 @@ def dense_gate_grad(x, params):
         gate[None, :] * w * (z * z * sigma / denom[:, None] - 1.0 / st[:, None])
         * sig_nu[:, None]
     )
-    if var_raw > params.var_floor:
+    # the floored variance exceeds the floor only while the clamp is inactive
+    if var > params.var_floor:
         d_sigma = (x - mu) / (t * sigma)
     else:
         d_sigma = np.zeros(t)
+    return gate, w, z, st, denom, d_offsets, d_log_scales, d_sigma
+
+
+def dense_gate_grad(x, params):
+    """The dense construction of the gate derivatives, as a test oracle.
+
+    Builds dG_t / dx_s from a [K, T, T] tensor through np.eye(T) and an
+    einsum: exact, but O(K T^2) in time and memory.
+    """
+    gate, w, z, st, denom, d_offsets, d_log_scales, d_sigma = oracle_factors(x, params)
+    t = z.shape[1]
     dz = (np.eye(t)[None, :, :] - 1.0 / t) / denom[:, None, None] - z[:, :, None] * (
         st / denom
     )[:, None, None] * d_sigma[None, None, :]
     d_input = gate[:, None] * np.einsum("kt,kts->ts", w, -z[:, :, None] * dz)
+    return d_offsets, d_log_scales, d_input
+
+
+def outer_gate_grad(x, params):
+    """The closed-form input Jacobian as an outer product and a second pass.
+
+    The rank-2 GEMM in the library must reproduce it bit for bit.
+    """
+    _, _, z, st, _, d_offsets, d_log_scales, d_sigma = oracle_factors(x, params)
+    t = z.shape[1]
+    a = -d_offsets.sum(axis=0)
+    b = (d_offsets * z * st[:, None]).sum(axis=0)
+    d_input = np.outer(b, d_sigma)
+    d_input -= (a / t)[:, None]
+    d_input.flat[:: t + 1] += a
     return d_offsets, d_log_scales, d_input
 
 
@@ -96,21 +145,33 @@ def max_rel_err(analytic, oracle, atol=1e-8, rtol=1e-4):
 
 
 class TestTemporalStats:
+    """The gate standardizes by the population mean and floored variance."""
+
+    @staticmethod
+    def assert_gate_uses_stats(x):
+        for params in (DaamParams.init(1), DaamParams.init(3, mean_offsets=[-0.5, 0.0, 0.4])):
+            np.testing.assert_allclose(daam_gate(x, params), gate_from_stats(x, params), rtol=1e-12)
+
     def test_constant_hits_variance_floor(self):
         assert temporal_stats(np.ones(4)) == (1.0, 1e-6)
+        self.assert_gate_uses_stats(np.ones(4))
 
     def test_two_point(self):
         assert temporal_stats(np.array([0.0, 2.0])) == (1.0, 1.0)
+        self.assert_gate_uses_stats(np.array([0.0, 2.0]))
 
     def test_arithmetic(self):
         # (9 + 1 + 1 + 9) / 4 = 5 with population normalization
         mean, var = temporal_stats(np.array([-3.0, -1.0, 1.0, 3.0]))
         assert mean == 0.0
         assert var == 5.0
+        self.assert_gate_uses_stats(np.array([-3.0, -1.0, 1.0, 3.0]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             temporal_stats(np.array([]))
+        with pytest.raises(ValueError, match="empty input"):
+            daam_gate(np.array([]), DaamParams.init(1))
 
 
 class TestDaamGate:
@@ -240,7 +301,18 @@ class TestDaamGateGrad:
             np.testing.assert_array_equal(d_off, o_off)
             np.testing.assert_array_equal(d_log, o_log)
 
-    def test_peak_memory_stays_below_three_dense_blocks(self):
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 17, 64, 255, 256, 300, 512, 1000, 1024])
+    def test_equals_outer_product_formula(self, t):
+        for k in (1, 2, 4, 7):
+            rng = np.random.default_rng(100 * t + k)
+            params = DaamParams(rng.uniform(-1, 1, k), rng.uniform(-2, 1, k))
+            # a constant signal engages the variance floor
+            for x in (rng.standard_normal(t) * 2.0, np.full(t, 0.7)):
+                for got, want in zip(daam_gate_grad(x, params), outer_gate_grad(x, params)):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_stays_near_one_dense_block(self):
+        # the [T, T] result is the only dense array: a second one fails this
         t = 1024
         x = np.random.default_rng(11).standard_normal(t)
         params = DaamParams.init(4)
@@ -250,7 +322,42 @@ class TestDaamGateGrad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * t * t * 8
+        assert peak < 1.1 * t * t * 8
+
+
+class TestDaamGateVjp:
+    @pytest.mark.parametrize("t", [1, 2, 3, 17, 64, 300])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_matches_contracted_jacobian(self, t, k):
+        rng = np.random.default_rng(100 * t + k)
+        params = DaamParams(rng.uniform(-1, 1, k), rng.uniform(-2, 1, k))
+        for x in (rng.standard_normal(t) * 2.0, np.full(t, 0.7)):
+            g = rng.standard_normal(t)
+            gate, g_off, g_log, g_in = daam_gate_vjp(x, params, g)
+            d_off, d_log, d_in = daam_gate_grad(x, params)
+            np.testing.assert_array_equal(gate, daam_gate(x, params))
+            for got, want in ((g_off, d_off @ g), (g_log, d_log @ g), (g_in, g @ d_in)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_peak_memory_is_linear_in_length(self):
+        # the dense Jacobian of this signal would take 34 GB
+        t, k = 65536, 4
+        rng = np.random.default_rng(12)
+        x, g = rng.standard_normal(t), rng.standard_normal(t)
+        params = DaamParams.init(k)
+        tracemalloc.start()
+        try:
+            daam_gate_vjp(x, params, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * k * t * 8
+
+    @pytest.mark.parametrize("g", [np.zeros(4), np.zeros((1, 5)), np.zeros(())])
+    def test_cotangent_shape_must_match(self, g):
+        with pytest.raises(ValueError, match="cotangent shape"):
+            daam_gate_vjp(np.arange(5.0), DaamParams.init(2), g)
 
 
 class TestModulation:

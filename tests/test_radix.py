@@ -325,7 +325,8 @@ def token_cases(dtype):
         ("one group over", UNEVEN, [[0, 0, 0]], width),
         ("no frames", UNEVEN, np.zeros((0, 2)), None),
         ("full width, largest of dtype", FULL_WIDTH, [[big], [0]], None),
-        ("smallest of dtype", UNEVEN, [[low, 0]], None if low == 0 else (ValidationError, "at frame 0, group 0 exceeds")),
+        ("smallest of dtype", UNEVEN, [[low, 0]], None if low == 0 else (ValidationError, f"token {low} at frame 0, group 0 is negative")),
+        ("full width, smallest of dtype", FULL_WIDTH, [[0], [low]], None if low == 0 else (ValidationError, f"token {low} at frame 1, group 0 is negative")),
         ("full width, no frames", FULL_WIDTH, np.zeros((0, 1)), None),
     ]
 
@@ -354,6 +355,12 @@ class TestOneTokenValidator:
         stream = TokenStream(tokens=tokens, scheme=FULL_WIDTH, frame_rate_hz=2.5)
         assert int(stream.tokens[0, 0]) == (1 << 64) - 1
         np.testing.assert_array_equal(unpack_frames(tokens, FULL_WIDTH), np.ones((1, 64)))
+
+    @pytest.mark.parametrize("scheme", [build_scheme([4] * 7, 7), FULL_WIDTH], ids=["16384", "2**64"])
+    def test_negative_token_is_named_as_given(self, scheme):
+        # int64 -1 once wrapped to 2**64 - 1: named so, or accepted as the top token
+        with pytest.raises(ValidationError, match="^token -1 at frame 0, group 0 is negative$"):
+            TokenStream(np.array([[-1]]), scheme, 2.5)
 
     @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
     def test_stream_stores_uint64_and_unpacks_like_uint64(self, dtype):
@@ -428,3 +435,23 @@ class TestPackDigits:
         scheme = build_scheme([2**64], 1)
         assert scheme.radices == (2**64,)
         assert scheme.group_products == (2**64,)
+
+    @pytest.mark.parametrize(
+        "radices, group_size",
+        [([2**64], 1), ([1, 2**64], 2), ([2**64, 1], 2), ([3, 2**64], 1), ([2**63 + 1], 1), ([5, 1, 2**64, 1, 4], 2)],
+    )
+    def test_radix_above_2_63_round_trips(self, radices, group_size):
+        scheme = build_scheme(radices, group_size)
+        rows = [[r - 1 for r in radices], [0] * len(radices), [r // 2 for r in radices]]
+        frames = np.array(rows, dtype=np.uint64)
+        tokens = pack_frames(frames, scheme)
+        assert tokens.tolist() == [pack_frame(row, scheme) for row in rows]
+        back = unpack_frames(tokens, scheme)
+        assert back.dtype == np.uint64
+        np.testing.assert_array_equal(back, frames)
+        # a negative digit wraps to 2**63 or more, below these radices: it is compared as given
+        d = radices.index(max(radices))
+        signed = np.zeros((1, len(radices)), dtype=np.int64)
+        signed[0, d] = np.iinfo(np.int64).min
+        with pytest.raises(ValidationError, match=f"^digit {signed[0, d]} at frame 0, dimension {d} "):
+            pack_frames(signed, scheme)
