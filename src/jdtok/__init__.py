@@ -17,7 +17,6 @@ from .fsq import (
     fsq_dequantize,
     fsq_quantize,
     quantize_projected,
-    straight_through,
 )
 from .losses import (
     DiscriminatorOutputs,
@@ -29,7 +28,6 @@ from .losses import (
     log_magnitude_l1,
     multi_res_stft,
     spectral_convergence,
-    stft_magnitude,
     total_stage2,
 )
 from .masking import MaskConfig, generate_block_mask, generate_block_masks, masked_fraction

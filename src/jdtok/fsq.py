@@ -47,7 +47,6 @@ __all__ = [
     "fsq_quantize",
     "quantize_projected",
     "fsq_dequantize",
-    "straight_through",
 ]
 
 @dataclass(frozen=True)
@@ -225,12 +224,3 @@ def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
         )
     return _lattice(indices, lvl)
 
-
-def straight_through(grad_downstream: np.ndarray) -> np.ndarray:
-    """Training-time gradient contract: pass the downstream gradient through.
-
-    The quantizer is treated as identity in the backward pass (the gradient
-    with respect to the pre-quantization values equals the gradient with
-    respect to the quantized values, at the post-tanh point).
-    """
-    return np.asarray(grad_downstream)

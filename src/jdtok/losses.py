@@ -10,6 +10,8 @@ functions are stateless reductions over arrays.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,7 +25,6 @@ __all__ = [
     "GanLosses",
     "jepa_masked_mse",
     "l1_loss",
-    "stft_magnitude",
     "spectral_convergence",
     "log_magnitude_l1",
     "multi_res_stft",
@@ -136,24 +137,6 @@ def _frames(padded: np.ndarray, padded_fft: int, fft_size: int, hop: int) -> np.
     return np.lib.stride_tricks.sliding_window_view(centred, fft_size, axis=1)[:, ::hop]
 
 
-def stft_magnitude(
-    x: np.ndarray, fft_size: int, hop: int, window: str = "hann"
-) -> np.ndarray:
-    """Magnitude spectrogram [bins, frames] of a 1-D waveform.
-
-    Frames are centered (reflect padding by fft_size // 2 on both ends) and
-    hopped by ``hop``; bins = fft_size // 2 + 1.  ``window`` is "hann"
-    (periodic, the default) or "rect".
-    """
-    if not isinstance(window, str) or window not in ("hann", "rect"):
-        raise ValueError(f"unknown window {window!r}")
-    x = np.ravel(x)
-    padded = _reflect_pad([x], fft_size)
-    frames = _frames(padded, fft_size, fft_size, hop)[0]
-    win = _hann_periodic(fft_size) if window == "hann" else np.ones(fft_size)
-    return np.abs(np.fft.rfft(frames * win, axis=1)).T
-
-
 def _convergence(diff_energy: float, ref_energy: float) -> float:
     """sqrt(diff_energy / ref_energy): the spectral convergence of two sums."""
     if ref_energy == 0.0:
@@ -187,21 +170,49 @@ def log_magnitude_l1(s_ref: np.ndarray, s_hat: np.ndarray, floor: float = 1e-7) 
     return float(_log_distance(s_ref, s_hat, floor) / s_ref.size)
 
 
+def _map_in_runs(fn, items: list) -> list:
+    """``[fn(*item) for item in items]``, one contiguous run per usable CPU.
+
+    The CPUs are those the process may run on now.  Each run is computed on
+    its own thread; the results come back in item order, and every thread
+    has ended when this returns.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    workers = min(len(affinity(0)) if affinity else 1, len(items))
+    if workers <= 1:
+        return [fn(*item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        runs = [
+            pool.submit(lambda run: [fn(*item) for item in run], items[a:b])
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        return [result for run in runs for result in run.result()]
+
+
 def multi_res_stft(
     x_hat: np.ndarray, x: np.ndarray, cfg: StftConfig = StftConfig()
 ) -> tuple[float, list[tuple[float, float]]]:
     """Sum of spectral-convergence and log-magnitude losses over resolutions.
 
     Returns (total, per-resolution list of (sc, log_mag) pairs), equal to
-    ``spectral_convergence`` and ``log_magnitude_l1`` of the ``stft_magnitude``
-    spectrograms.  Both waveforms must be finite and of equal length of at
-    least the largest FFT size.
+    ``spectral_convergence`` and ``log_magnitude_l1`` of the centred,
+    reflect-padded, periodic-Hann magnitude spectrograms of both signals.
+    Both waveforms must be finite and of equal length of at least the
+    largest FFT size.
 
     No spectrogram is built: both signals are reflect-padded once into one
     float64 buffer, and each resolution walks its frames in blocks of about
-    ``_BLOCK_SAMPLES`` samples per signal, adding each block's magnitudes to
-    three running sums.  Memory is O(signal + block): the [2, n + fft]
-    float64 buffer plus one block's frames, spectrum and magnitudes.
+    ``_BLOCK_SAMPLES`` samples per signal.  Every block of every resolution
+    yields three terms (difference energy, reference energy, log distance);
+    the blocks are spread over the CPUs the process may use, one contiguous
+    run each, and the terms are then added in block order.  The arithmetic
+    and the order of the sums do not depend on the CPU count, so neither
+    does the result, bit for bit.  Memory is O(signal + workers x block):
+    the [2, n + fft] float64 buffer plus one block's frames, spectrum and
+    magnitudes per worker.
     """
     x_hat = np.ravel(x_hat)
     x = np.ravel(x)
@@ -211,22 +222,33 @@ def multi_res_stft(
         raise ValidationError("input contains non-finite values")
     widest = max(cfg.fft_sizes)
     padded = _reflect_pad([x_hat, x], widest)
-    per_resolution: list[tuple[float, float]] = []
-    total = 0.0
+    resolutions = []
+    blocks = []
     for fft_size, hop in zip(cfg.fft_sizes, cfg.hop_sizes):
         frames = _frames(padded, widest, fft_size, hop)
-        win = _hann_periodic(fft_size)
         step = max(1, _BLOCK_SAMPLES // fft_size)
+        starts = range(0, frames.shape[1], step)
+        resolutions.append((frames.shape[1], fft_size, len(starts)))
+        win = _hann_periodic(fft_size)
+        blocks += [(frames[:, start : start + step], win) for start in starts]
+
+    def block_terms(block: np.ndarray, win: np.ndarray):
+        s_hat, s_ref = np.abs(np.fft.rfft(block * win))
+        diff = (s_hat - s_ref).ravel()
+        ref = s_ref.ravel()
+        return diff @ diff, ref @ ref, _log_distance(s_ref, s_hat, cfg.magnitude_floor)
+
+    terms = iter(_map_in_runs(block_terms, blocks))
+    per_resolution: list[tuple[float, float]] = []
+    total = 0.0
+    for n_frames, fft_size, n_blocks in resolutions:
         diff_energy = ref_energy = log_sum = 0.0
-        for start in range(0, frames.shape[1], step):
-            s_hat, s_ref = np.abs(np.fft.rfft(frames[:, start : start + step] * win))
-            diff = (s_hat - s_ref).ravel()
-            ref = s_ref.ravel()
-            diff_energy += diff @ diff
-            ref_energy += ref @ ref
-            log_sum += _log_distance(s_ref, s_hat, cfg.magnitude_floor)
+        for diff_term, ref_term, log_term in itertools.islice(terms, n_blocks):
+            diff_energy += diff_term
+            ref_energy += ref_term
+            log_sum += log_term
         sc = _convergence(diff_energy, ref_energy)
-        mag = float(log_sum / (frames.shape[1] * (fft_size // 2 + 1)))
+        mag = float(log_sum / (n_frames * (fft_size // 2 + 1)))
         per_resolution.append((sc, mag))
         total += sc + mag
     return total, per_resolution

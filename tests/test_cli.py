@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 import subprocess
 import sys
@@ -211,6 +212,21 @@ class TestScore:
         out = capsys.readouterr().out
         total = float(out.split("stft total: ")[1].splitlines()[0])
         assert abs(total - 5 * (1 + np.log(2))) / (5 * (1 + np.log(2))) < 1e-3
+
+    def test_stdout_independent_of_cpu_count(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(5 * 24000)
+        ref, hyp = tmp_path / "ref.jdf", tmp_path / "hyp.jdf"
+        self.write_wave(ref, x)
+        self.write_wave(hyp, x + 0.1 * rng.standard_normal(x.size))
+        outs = []
+        for count in (1, 2):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid, n=count: set(range(n)), raising=False
+            )
+            assert main(["score", "--ref", str(ref), "--hyp", str(hyp)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "stft total: " in outs[0]
 
     def test_length_mismatch_exits_4(self, tmp_path):
         a, b = tmp_path / "a.jdf", tmp_path / "b.jdf"

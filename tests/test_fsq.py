@@ -13,7 +13,6 @@ from jdtok.fsq import (
     fsq_dequantize,
     fsq_quantize,
     quantize_projected,
-    straight_through,
 )
 
 
@@ -232,19 +231,6 @@ class TestDequantize:
         idx, val = quantize_projected(b[None, :], FsqLevels((level,)))
         np.testing.assert_array_equal(idx[0], np.arange(level))
         np.testing.assert_array_equal(val[0], b)
-
-
-class TestStraightThrough:
-    def test_gradient_unchanged(self):
-        g = np.random.default_rng(2).standard_normal((128, 10))
-        out = straight_through(g)
-        assert out.shape == (128, 10)
-        np.testing.assert_array_equal(out, g)
-
-    def test_zero_stays_zero(self):
-        np.testing.assert_array_equal(
-            straight_through(np.zeros((3, 4))), np.zeros((3, 4))
-        )
 
 
 class TestLevels:

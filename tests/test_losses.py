@@ -1,11 +1,17 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jdtok import losses
 from jdtok.losses import (
     _BLOCK_SAMPLES,
+    _frames,
+    _hann_periodic,
+    _reflect_pad,
     DiscriminatorOutputs,
     StftConfig,
     gan_losses,
@@ -14,7 +20,6 @@ from jdtok.losses import (
     log_magnitude_l1,
     multi_res_stft,
     spectral_convergence,
-    stft_magnitude,
     total_stage2,
 )
 
@@ -81,6 +86,19 @@ class TestL1:
             l1_loss(np.zeros(3), np.zeros(4))
 
 
+def stft_magnitude(x, fft_size, hop):
+    """Magnitude spectrogram [bins, frames] of a 1-D waveform: the whole-signal
+    oracle of the blocked ``multi_res_stft``.
+
+    Frames are centred (reflect padding by fft_size // 2 on both ends),
+    hopped by ``hop`` and weighted by a periodic Hann window; bins =
+    fft_size // 2 + 1.
+    """
+    padded = _reflect_pad([np.ravel(x)], fft_size)
+    frames = _frames(padded, fft_size, fft_size, hop)[0]
+    return np.abs(np.fft.rfft(frames * _hann_periodic(fft_size), axis=1)).T
+
+
 def reference_dft_magnitude(frame, window):
     """Direct-evaluation DFT oracle, independent of the fft path."""
     n = frame.size
@@ -128,25 +146,6 @@ class TestStftMagnitude:
             np.testing.assert_allclose(
                 s[:, f], reference_dft_magnitude(frame, window), atol=1e-9
             )
-
-    def test_rectangular_window_parseval(self):
-        # one-sided spectrum: double the interior bins, count DC and
-        # Nyquist once; the total must equal n * frame energy
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(512)
-        n_fft, hop = 128, 128
-        s = stft_magnitude(x, n_fft, hop, window="rect")
-        padded = np.pad(x, n_fft // 2, mode="reflect")
-        for f in range(s.shape[1]):
-            frame = padded[f * hop : f * hop + n_fft]
-            power = 2 * np.sum(s[:, f] ** 2) - s[0, f] ** 2 - s[-1, f] ** 2
-            energy = n_fft * np.sum(frame**2)
-            np.testing.assert_allclose(power, energy, rtol=1e-9)
-
-    @pytest.mark.parametrize("window", ["rectangular", "hamming", np.ones(128), None])
-    def test_only_hann_and_rect_windows(self, window):
-        with pytest.raises(ValueError, match="unknown window"):
-            stft_magnitude(np.zeros(512), 128, 32, window=window)
 
 
 class TestSpectralConvergence:
@@ -351,6 +350,51 @@ class TestBlockedMatchesComposition:
     def test_scaled_copies(self, a):
         x = np.random.default_rng(23).standard_normal(12000)
         self.check(a * x, x)
+
+
+def set_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestSpreadOverCpus:
+    """The blocks run on one thread per usable CPU; the result is the same bits."""
+
+    def noisy_pair(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        return x + 0.2 * rng.standard_normal(n), x
+
+    @pytest.mark.parametrize("n", [2048, 2049, 16383, 16384, 16385, 240_000])
+    def test_equal_to_one_cpu(self, monkeypatch, n):
+        y, x = self.noisy_pair(n)
+        set_cpus(monkeypatch, 1)
+        want = multi_res_stft(y, x)
+        for count in (2, 3, 8):
+            set_cpus(monkeypatch, count)
+            assert multi_res_stft(y, x) == want
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_blocks_leave_the_caller_only_with_more_cpus(self, monkeypatch, count):
+        threads = set()
+        log_distance = losses._log_distance
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return log_distance(*args)
+
+        monkeypatch.setattr(losses, "_log_distance", recording)
+        set_cpus(monkeypatch, count)
+        multi_res_stft(*self.noisy_pair(40_000))
+        # the pool may hand two runs to one thread, never more threads than CPUs
+        assert len(threads) <= count
+        assert (threading.get_ident() in threads) == (count == 1)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        before = threading.active_count()
+        set_cpus(monkeypatch, 8)
+        multi_res_stft(*self.noisy_pair(50_000))
+        assert threading.active_count() == before
 
 
 class TestStftConfig:
