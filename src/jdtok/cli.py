@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 
@@ -48,13 +49,7 @@ def _blocks(frames: int):
 
 
 def _vocab_summary(products: tuple[int, ...]) -> str:
-    runs: list[tuple[int, int]] = []
-    for p in products:
-        if runs and runs[-1][0] == p:
-            runs[-1] = (p, runs[-1][1] + 1)
-        else:
-            runs.append((p, 1))
-    return ", ".join(f"{count} x {p}" for p, count in runs)
+    return ", ".join(f"{len(list(run))} x {p}" for p, run in itertools.groupby(products))
 
 
 def _cmd_tokenize(args) -> int:
@@ -165,9 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruction scoring, and mask generation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="configuration file (defaults used if omitted)")
 
-    p = sub.add_parser("tokenize", help="quantize and pack a feature file")
-    p.add_argument("--config", help="configuration file (defaults used if omitted)")
+    p = sub.add_parser("tokenize", help="quantize and pack a feature file", parents=[config])
     p.add_argument("--in", dest="infile", required=True, help="input feature file")
     p.add_argument("--out", required=True, help="output token file")
     p.set_defaults(func=_cmd_tokenize)
@@ -177,18 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output feature file")
     p.set_defaults(func=_cmd_detokenize)
 
-    p = sub.add_parser("info", help="report rates and vocabularies for a config")
-    p.add_argument("--config", help="configuration file (defaults used if omitted)")
+    p = sub.add_parser("info", help="report rates and vocabularies for a config", parents=[config])
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("score", help="score a reconstruction against a reference")
-    p.add_argument("--config", help="configuration file (defaults used if omitted)")
+    p = sub.add_parser("score", help="score a reconstruction against a reference", parents=[config])
     p.add_argument("--ref", required=True, help="reference waveform file")
     p.add_argument("--hyp", required=True, help="reconstructed waveform file")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("mask", help="emit a block mask as a 0/1 byte file")
-    p.add_argument("--config", help="configuration file (defaults used if omitted)")
+    p = sub.add_parser("mask", help="emit a block mask as a 0/1 byte file", parents=[config])
     p.add_argument("--frames", type=int, required=True, help="sequence length")
     p.add_argument("--seed", type=int, default=0, help="mask seed")
     p.add_argument("--out", required=True, help="output mask file")

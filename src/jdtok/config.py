@@ -34,7 +34,7 @@ from .errors import ConfigError
 from .fsq import FsqLevels
 from .losses import DEFAULT_LAMBDA_GAN, DEFAULT_LAMBDA_STFT
 from .masking import MaskConfig
-from .radix import RadixScheme, build_scheme
+from .radix import RadixScheme, build_scheme, token_rate
 
 __all__ = ["CodecConfig", "parse_config", "load_config", "DEFAULT_CONFIG"]
 
@@ -74,11 +74,8 @@ class CodecConfig:
     scheme: RadixScheme = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
-        if self.hop < 1:
-            raise ConfigError(f"hop must be >= 1, got {self.hop}")
         try:
+            token_rate(self.sample_rate, self.hop, 1)  # owns the sample_rate and hop bounds
             scheme = build_scheme(self.levels, self.group_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

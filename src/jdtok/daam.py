@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "DaamParams",
     "daam_gate",
@@ -76,7 +78,8 @@ class DaamParams:
     ``init()`` gives the standard initialization: offsets at zero and
     log-scales at log(0.5), so every component starts as the same moderately
     narrow Gaussian; ``gate_strength`` (alpha) defaults to 0.05 so the
-    residual modulation starts close to identity.
+    residual modulation starts close to identity.  The two arrays are
+    read-only float64 copies, and params compare and hash by value.
     """
 
     mean_offsets: np.ndarray
@@ -86,12 +89,12 @@ class DaamParams:
     var_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mean_offsets", np.atleast_1d(np.asarray(self.mean_offsets, dtype=np.float64))
-        )
-        object.__setattr__(
-            self, "log_scales", np.atleast_1d(np.asarray(self.log_scales, dtype=np.float64))
-        )
+        for name in ("mean_offsets", "log_scales"):
+            # a read-only copy: neither the caller's array nor a shared
+            # default can change the params after construction
+            values = np.atleast_1d(np.array(getattr(self, name), dtype=np.float64))
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.mean_offsets.ndim != 1 or self.log_scales.ndim != 1:
             raise ValueError("mean_offsets and log_scales must be 1-D")
         if self.mean_offsets.size != self.log_scales.size:
@@ -107,6 +110,18 @@ class DaamParams:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.var_floor <= 0:
             raise ValueError(f"var_floor must be > 0, got {self.var_floor}")
+
+    def _value(self) -> tuple:
+        arrays = (tuple(self.mean_offsets), tuple(self.log_scales))
+        return (*arrays, self.gate_strength, self.eps, self.var_floor)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DaamParams):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:  # sound: every array entry is finite
+        return hash(self._value())
 
     @property
     def num_components(self) -> int:
@@ -148,7 +163,7 @@ def _check_signal(x: np.ndarray) -> None:
     if x.size == 0:
         raise ValueError("empty input")
     if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
+        raise ValidationError("input contains non-finite values")
 
 
 def _gate_forward(x: np.ndarray, params: DaamParams, dtype):

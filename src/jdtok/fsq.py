@@ -75,8 +75,7 @@ def _as_levels(levels) -> FsqLevels:
 
 def fsq_boundaries(level: int) -> np.ndarray:
     """The sorted lattice for one dimension with ``level`` levels."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    (level,) = FsqLevels((level,)).levels
     return _lattice(np.arange(level), level)
 
 

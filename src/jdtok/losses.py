@@ -171,11 +171,13 @@ def log_magnitude_l1(s_ref: np.ndarray, s_hat: np.ndarray, floor: float = 1e-7) 
 
 
 def _map_in_runs(fn, items: list) -> list:
-    """``[fn(*item) for item in items]``, one contiguous run per usable CPU.
+    """``[fn(*item) for item in items]``, one strided run per usable CPU.
 
-    The CPUs are those the process may run on now.  Each run is computed on
-    its own thread; the results come back in item order, and every thread
-    has ended when this returns.
+    The CPUs are those the process may run on now.  Run ``w`` of ``workers``
+    holds items ``w, w + workers, ...``, so where the cost of an item follows
+    its position (the STFT blocks, by resolution), every run gets an equal
+    share of each kind.  Each run is computed on its own thread; the results
+    come back in item order, and every thread has ended when this returns.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     workers = min(len(affinity(0)) if affinity else 1, len(items))
@@ -183,13 +185,15 @@ def _map_in_runs(fn, items: list) -> list:
         return [fn(*item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
-    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    results: list = [None] * len(items)
     with ThreadPoolExecutor(workers) as pool:
         runs = [
-            pool.submit(lambda run: [fn(*item) for item in run], items[a:b])
-            for a, b in zip(cuts, cuts[1:])
+            pool.submit(lambda run: [fn(*item) for item in run], items[w::workers])
+            for w in range(workers)
         ]
-        return [result for run in runs for result in run.result()]
+        for w, run in enumerate(runs):
+            results[w::workers] = run.result()
+    return results
 
 
 def multi_res_stft(
@@ -207,7 +211,7 @@ def multi_res_stft(
     float64 buffer, and each resolution walks its frames in blocks of about
     ``_BLOCK_SAMPLES`` samples per signal.  Every block of every resolution
     yields three terms (difference energy, reference energy, log distance);
-    the blocks are spread over the CPUs the process may use, one contiguous
+    the blocks are spread over the CPUs the process may use, one strided
     run each, and the terms are then added in block order.  The arithmetic
     and the order of the sums do not depend on the CPU count, so neither
     does the result, bit for bit.  Memory is O(signal + workers x block):

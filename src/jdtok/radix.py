@@ -53,7 +53,6 @@ class RadixScheme:
     radices: tuple[int, ...]
     group_size: int
     padded_radices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    group_radices: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     group_products: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # the padded radices modulo 2**64 as a read-only uint64 [groups, group_size]
     # table: a radix of 2**64 is stored as 0, and its group's other radices are
@@ -64,16 +63,12 @@ class RadixScheme:
     _wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        radices = tuple(int(r) for r in self.radices)
+        radices = FsqLevels(self.radices).levels  # every radix is a level count
         g = self.group_size
         if g < 1:
             raise ValueError(f"group_size must be >= 1, got {g}")
-        if len(radices) < 1:
-            raise ValueError("need at least one dimension")
         if g > len(radices):
             raise ValueError(f"group_size {g} exceeds the {len(radices)} dimensions")
-        if any(r < 1 for r in radices):
-            raise ValueError(f"all radices must be >= 1, got {radices}")
         padded = radices + (1,) * (-len(radices) % g)
         groups = tuple(padded[i : i + g] for i in range(0, len(padded), g))
         products = tuple(math.prod(group) for group in groups)
@@ -84,7 +79,6 @@ class RadixScheme:
                 )
         object.__setattr__(self, "radices", radices)
         object.__setattr__(self, "padded_radices", padded)
-        object.__setattr__(self, "group_radices", groups)
         object.__setattr__(self, "group_products", products)
         table = np.array([r % MAX_GROUP_PRODUCT for r in padded], dtype=np.uint64)
         table.flags.writeable = False

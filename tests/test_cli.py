@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jdtok.cli import _BLOCK_FRAMES as B, build_parser, main
+from jdtok.cli import _BLOCK_FRAMES as B, _vocab_summary, build_parser, main
 from jdtok.fileio import (
     read_feature_file,
     read_token_file,
@@ -188,6 +188,28 @@ class TestInfo:
     def test_defaults_without_config(self, capsys):
         assert main(["info"]) == 0
         assert "tokens/sec: 47.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["sample_rate", "hop"])
+    def test_rate_below_one_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        assert main(["info", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be >= 1, got 0\n"
+
+
+class TestVocabSummary:
+    @pytest.mark.parametrize(
+        "levels, group_size, want",
+        [
+            ([4] * 128, 7, "18 x 16384, 1 x 16"),
+            ([5, 4, 3, 2, 7], 3, "1 x 60, 1 x 14"),
+            ([7, 7, 3, 7], 1, "2 x 7, 1 x 3, 1 x 7"),  # runs, not counts
+        ],
+    )
+    def test_runs_of_equal_vocabularies(self, levels, group_size, want):
+        assert _vocab_summary(build_scheme(levels, group_size).group_products) == want
 
 
 class TestScore:
@@ -375,6 +397,26 @@ class TestEntryPoint:
         monkeypatch.setattr(sys, "argv", ["jdtok", "info", "--config", CONFIG])
         assert main() == 0
         assert "tokens/sec: 47.5" in capsys.readouterr().out
+
+
+class TestConfigOption:
+    """--config is declared once and shared by the commands that read a config."""
+
+    def help_lines(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        return [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+
+    @pytest.mark.parametrize("command", ["tokenize", "info", "score", "mask"])
+    def test_in_the_help_of_each_config_command(self, monkeypatch, capsys, command):
+        lines = self.help_lines(monkeypatch, capsys, command)
+        assert "--config CONFIG configuration file (defaults used if omitted)" in lines
+
+    def test_not_in_the_help_of_detokenize(self, monkeypatch, capsys):
+        lines = self.help_lines(monkeypatch, capsys, "detokenize")
+        assert not any("--config" in line for line in lines)
 
 
 class TestSharedParser:
@@ -582,6 +624,15 @@ class TestHostileTokenHeader:
         assert peak < 1 << 20
         assert not back.exists()
         assert "exceeds" in capsys.readouterr().err
+
+    def test_zero_radix_exits_3_without_output(self, tmp_path, capsys):
+        tok, back = tmp_path / "t.jdt", tmp_path / "b.jdf"
+        header = struct.pack("<4sIIIIIQd", b"JDT1", 1, 1, 2, 2, 16, 0, 2.5)
+        tok.write_bytes(header + struct.pack("<HH", 4, 0))
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 3
+        assert not back.exists()
+        err = capsys.readouterr().err
+        assert "invalid radix table (all levels must be >= 1, got (4, 0))" in err
 
 
 class TestConfigGroupSize:

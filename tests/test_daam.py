@@ -13,6 +13,7 @@ from jdtok.daam import (
     daam_gate_vjp,
     gattn_modulate,
 )
+from jdtok.errors import ValidationError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -236,6 +237,30 @@ class TestDaamGate:
         with pytest.raises(ValueError):
             daam_gate(bad, DaamParams.init(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, p: daam_gate(x, p),
+            lambda x, p: daam_gate(x, p, dtype=np.float32),
+            lambda x, p: daam_gate_grad(x, p),
+            lambda x, p: daam_gate_vjp(x, p, np.ones(x.size)),
+            lambda x, p: gattn_modulate(np.ones((3, x.size)), x, p),
+        ],
+        ids=["gate", "gate_float32", "grad", "vjp", "gattn_modulate"],
+    )
+    def test_non_finite_input_is_a_validation_error(self, call, value):
+        # the same rule as fsq and the STFT loss, with the same error type
+        x = np.array([0.5, value, -0.25])
+        with pytest.raises(ValidationError, match="input contains non-finite values"):
+            call(x, DaamParams.init(2))
+
+    @pytest.mark.parametrize("bad", [np.array([]), np.zeros((2, 3))])
+    def test_empty_or_not_1d_stays_a_plain_value_error(self, bad):
+        with pytest.raises(ValueError) as info:
+            daam_gate(bad, DaamParams.init(2))
+        assert type(info.value) is ValueError
+
     @settings(max_examples=50, deadline=None)
     @given(
         data=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
@@ -433,3 +458,37 @@ class TestParams:
             DaamParams.init(2, mean_offsets=[0.0] * 3)
         with pytest.raises(ValueError, match="log_scales has 1 entries"):
             DaamParams.init(log_scales=[0.0])
+
+    def test_keeps_a_copy_of_its_arrays(self):
+        offsets, log_scales = np.zeros(3), np.full(3, 0.5)
+        p = DaamParams(offsets, log_scales)
+        offsets[0] = 3.0
+        log_scales[:] = -1.0
+        np.testing.assert_array_equal(p.mean_offsets, np.zeros(3))
+        np.testing.assert_array_equal(p.log_scales, np.full(3, 0.5))
+
+    def test_arrays_are_read_only(self):
+        p = DaamParams.init(4)
+        for values in (p.mean_offsets, p.log_scales):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.mean_offsets += 1.0
+        assert DaamParams.init(4) == p
+
+    def test_equal_and_hashed_by_value(self):
+        p = DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5])
+        twin = DaamParams(np.array([0.1, -0.1]), [0.0, 0.5], 0.05)
+        assert p == twin
+        assert hash(p) == hash(twin)
+        assert len({p, twin}) == 1
+        for other in (
+            DaamParams.init(2, mean_offsets=[0.1, -0.2], log_scales=[0.0, 0.5]),
+            DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.4]),
+            DaamParams.init(2, gate_strength=0.1, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5]),
+            DaamParams(p.mean_offsets, p.log_scales, p.gate_strength, eps=2e-3),
+            DaamParams(p.mean_offsets, p.log_scales, p.gate_strength, var_floor=1e-5),
+            DaamParams.init(3),
+        ):
+            assert other != p
+        assert p != (p.mean_offsets, p.log_scales)

@@ -25,6 +25,7 @@ from jdtok.fileio import (
     write_token_file,
 )
 from jdtok.fsq import FsqLevels
+from jdtok.masking import MaskConfig
 from jdtok.radix import TokenStream, build_scheme
 
 BAD_RATES = [float("nan"), float("inf"), float("-inf"), 0.0, -2.5]
@@ -232,6 +233,13 @@ class TestTokenFile:
         with pytest.raises(FormatError, match="exceeds the 1 dimensions"):
             read_token_file(path)
 
+    def test_zero_radix_rejected(self, tmp_path):
+        path = tmp_path / "z.jdt"
+        header = struct.pack("<4sIIIIIQd", b"JDT1", 1, 1, 2, 2, 16, 0, 2.5)
+        path.write_bytes(header + struct.pack("<HH", 4, 0))
+        with pytest.raises(FormatError, match=re.escape("all levels must be >= 1, got (4, 0)")):
+            read_token_file(path)
+
     @pytest.mark.parametrize("rate", BAD_RATES)
     def test_unusable_frame_rate_rejected(self, tmp_path, rate):
         scheme = build_scheme([4, 4], group_size=2)
@@ -374,6 +382,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("key", ["sample_rate", "hop"])
+    def test_rate_below_one_is_a_config_error(self, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{key} = 0")
+        assert str(info.value) == f"{key} must be >= 1, got 0"
+
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         path = tmp_path / "binary.cfg"
         path.write_bytes(b"levels = [4]\n\xff\xfe\n")
@@ -453,34 +467,37 @@ class TestConfigKeys:
         assert CodecConfig().lambda_gan == losses.DEFAULT_LAMBDA_GAN
 
 
-def assert_same_config(a: CodecConfig, b: CodecConfig) -> None:
-    """Field-by-field equality, comparing the gate's arrays by value."""
-    for f in dataclasses.fields(CodecConfig):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "daam":
-            for g in dataclasses.fields(DaamParams):
-                np.testing.assert_array_equal(getattr(x, g.name), getattr(y, g.name))
-        else:
-            assert x == y, f.name
-
-
 class TestConfigDefaults:
     """Each default lives only in the dataclass that owns its field."""
 
     def test_empty_text_gives_the_defaults(self):
-        assert_same_config(parse_config(""), CodecConfig())
+        assert parse_config("") == CodecConfig()
+        assert hash(parse_config("")) == hash(CodecConfig())
 
     def test_canonical_file_gives_the_defaults(self):
-        assert_same_config(
-            load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg"),
-            CodecConfig(),
-        )
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+        assert load_config(path) == CodecConfig()
 
     def test_unset_gate_keys_take_the_gate_defaults(self):
         cfg = parse_config("daam.k = 2\ndaam.alpha = 0.2")
-        want = DaamParams.init(2, gate_strength=0.2)
-        for g in dataclasses.fields(DaamParams):
-            np.testing.assert_array_equal(getattr(cfg.daam, g.name), getattr(want, g.name))
+        assert cfg.daam == DaamParams.init(2, gate_strength=0.2)
+
+    def test_every_compared_field_is_compared(self):
+        base = CodecConfig()
+        others = {
+            "sample_rate": 16000,
+            "hop": 320,
+            "levels": FsqLevels((4,) * 127),
+            "group_size": 8,
+            "lambda_stft": 1.0,
+            "lambda_gan": 0.2,
+            "temperature": 0.5,
+            "daam": DaamParams.init(4, log_scales=[0.0, 0.0, 0.0, 0.1]),
+            "mask": MaskConfig(span_min=3),
+        }
+        assert set(others) == {f.name for f in dataclasses.fields(CodecConfig) if f.compare}
+        for name, value in others.items():
+            assert dataclasses.replace(base, **{name: value}) != base, name
 
 
 class TestConfigScheme:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jdtok.errors import ValidationError
-from jdtok.fsq import FsqLevels
+from jdtok.fsq import FsqLevels, fsq_boundaries
 from jdtok.radix import (
     RadixScheme,
     TokenStream,
@@ -34,10 +34,8 @@ def pack_frame(indices, scheme: RadixScheme) -> list[int]:
         raise ValueError(f"expected {scheme.dim} indices, got {len(indices)}")
     padded = indices + [0] * scheme.pad_count
     g = scheme.group_size
-    return [
-        pack_group(padded[i : i + g], group)
-        for i, group in zip(range(0, len(padded), g), scheme.group_radices)
-    ]
+    radices = scheme.padded_radices
+    return [pack_group(padded[i : i + g], radices[i : i + g]) for i in range(0, len(padded), g)]
 
 
 def unpack_frame(tokens, scheme: RadixScheme) -> list[int]:
@@ -45,9 +43,10 @@ def unpack_frame(tokens, scheme: RadixScheme) -> list[int]:
     tokens = list(tokens)
     if len(tokens) != scheme.group_count:
         raise ValueError(f"expected {scheme.group_count} tokens, got {len(tokens)}")
+    g, radices = scheme.group_size, scheme.padded_radices
     digits: list[int] = []
-    for token, group in zip(tokens, scheme.group_radices):
-        digits.extend(unpack_group(token, group))
+    for i, token in zip(range(0, len(radices), g), tokens):
+        digits.extend(unpack_group(token, radices[i : i + g]))
     return digits[: scheme.dim]
 
 
@@ -169,13 +168,46 @@ class TestScheme:
     def test_derived_layout_built_once(self):
         scheme = build_scheme([5, 4, 3, 2, 7], group_size=3)
         assert scheme.padded_radices == (5, 4, 3, 2, 7, 1)
-        assert scheme.group_radices == ((5, 4, 3), (2, 7, 1))
         assert scheme.group_products == (60, 14)
-        assert scheme.group_radices is scheme.group_radices
         # derived fields take no part in equality, hashing or repr
         assert scheme == RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3)
         assert hash(scheme) == hash(RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3))
         assert repr(scheme) == "RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3)"
+
+
+class TestOneLevelRule:
+    """Every radix is a level count, so FsqLevels alone checks the list."""
+
+    MESSAGES = {
+        (): "need at least one dimension",
+        (4, 0): "all levels must be >= 1, got (4, 0)",
+        (-1,): "all levels must be >= 1, got (-1,)",
+    }
+
+    @pytest.mark.parametrize("group_size", [0, 1, 7])
+    @pytest.mark.parametrize("levels", list(MESSAGES))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda levels, g: FsqLevels(levels),
+            lambda levels, g: RadixScheme(radices=levels, group_size=g),
+            lambda levels, g: build_scheme(levels, group_size=g),
+        ],
+        ids=["FsqLevels", "RadixScheme", "build_scheme"],
+    )
+    def test_rejected_with_the_same_plain_value_error(self, make, levels, group_size):
+        # the level list is checked before the group size, whatever that is
+        with pytest.raises(ValueError) as info:
+            make(levels, group_size)
+        assert type(info.value) is ValueError
+        assert str(info.value) == self.MESSAGES[levels]
+
+    def test_boundaries_take_the_same_rule(self):
+        with pytest.raises(ValueError) as info:
+            fsq_boundaries(0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "all levels must be >= 1, got (0,)"
+        assert fsq_boundaries(1).tolist() == [0.0]
 
 
 class TestFrames:
