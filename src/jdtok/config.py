@@ -26,6 +26,7 @@ array, and the field it fills in ``CodecConfig``, ``DaamParams.init`` (the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +80,9 @@ class CodecConfig:
             scheme = build_scheme(self.levels, self.group_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for name in ("lambda_stft", "lambda_gan", "temperature"):
+            if not math.isfinite(getattr(self, name)):  # nan would break value equality
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "scheme", scheme)
 
 

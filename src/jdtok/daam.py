@@ -35,6 +35,7 @@ gating is out of scope; the gate consumes the caller's 1-channel projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,9 @@ class DaamParams:
             raise ValueError("need at least one mixture component")
         if not (np.all(np.isfinite(self.mean_offsets)) and np.all(np.isfinite(self.log_scales))):
             raise ValueError("parameters must be finite")
+        for name in ("gate_strength", "eps", "var_floor"):
+            if not math.isfinite(getattr(self, name)):  # nan <= 0 is false
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps <= 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.var_floor <= 0:
@@ -120,7 +124,7 @@ class DaamParams:
             return NotImplemented
         return self._value() == other._value()
 
-    def __hash__(self) -> int:  # sound: every array entry is finite
+    def __hash__(self) -> int:  # sound: every value is finite
         return hash(self._value())
 
     @property

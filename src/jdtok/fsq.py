@@ -30,11 +30,17 @@ float32 table holds each tau_j rounded up to float32, so a float32 input
 compares exactly as its float64 value would, without an upcast.  The count
 is one branchless binary search over the table, padded with +inf to a power
 of two P: log2(P) passes of one gather and one comparison.
+
+Snap and dequantize share one per-level dispatch: with a single distinct
+level, the usual case, the kernel sees the whole [D, T] array and a scalar
+level; with mixed levels it runs once per distinct level on that level's
+rows.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +62,11 @@ class FsqLevels:
     levels: tuple[int, ...] = (4,) * 128
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
+        try:  # a level is an integer: 4.7 and 2.5 are rejected, not truncated
+            levels = tuple(operator.index(v) for v in self.levels)
+        except TypeError as exc:
+            raise ValueError(f"levels must be integers, got {self.levels}") from exc
+        object.__setattr__(self, "levels", levels)
         if len(self.levels) < 1:
             raise ValueError("need at least one dimension")
         if any(v < 1 for v in self.levels):
@@ -80,8 +90,13 @@ def fsq_boundaries(level: int) -> np.ndarray:
 
 
 def _lattice(index, level):
-    # shared by snap, dequantize and boundaries so they agree bit for bit
-    return (2.0 * index - level + 1) / level
+    # (2 index - level + 1) / level in one float64 buffer; shared by snap,
+    # dequantize and boundaries so they agree bit for bit
+    out = np.multiply(2.0, index)
+    out -= level
+    out += 1
+    out /= level
+    return out
 
 
 def _check_rows(array: np.ndarray, levels: FsqLevels, what: str) -> None:
@@ -162,7 +177,8 @@ def _count_thresholds(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     while step > 1:
         step //= 2
         # index is a multiple of 2 * step, so index + step - 1 stays in the table
-        index += (x >= table[step - 1 :].take(index)) * step
+        above = x >= table[step - 1 :].take(index)
+        index += above * step if step > 1 else above
     return index
 
 
@@ -171,19 +187,30 @@ def _snap(x: np.ndarray, level: int, transform) -> tuple[np.ndarray, np.ndarray]
     return index, _lattice(np.arange(level), level).take(index)
 
 
+def _by_level(array: np.ndarray, levels: FsqLevels, kernel, dtypes) -> tuple:
+    """``kernel(rows, level)``, returning arrays of ``dtypes``, per set of rows sharing a level.
+
+    One distinct level, the usual case, runs the kernel once on the whole
+    array: no gather or scatter of rows.
+    """
+    distinct = set(levels.levels)
+    if len(distinct) == 1:
+        return kernel(array, levels.levels[0])
+    lvl = np.asarray(levels.levels)
+    outs = tuple(np.empty(array.shape, dtype=dtype) for dtype in dtypes)
+    for level in distinct:
+        rows = lvl == level
+        for out, part in zip(outs, kernel(array[rows], level)):
+            out[rows] = part
+    return outs
+
+
 def _quantize(values, levels, transform) -> tuple[np.ndarray, np.ndarray]:
     levels = _as_levels(levels)
     values = _finite_rows(values, levels)
-    distinct = set(levels.levels)
-    if len(distinct) == 1:  # the usual case: no gather or scatter of rows
-        return _snap(values, levels.levels[0], transform)
-    lvl = np.asarray(levels.levels)
-    indices = np.empty(values.shape, dtype=np.int64)
-    quantized = np.empty(values.shape)
-    for level in distinct:
-        rows = lvl == level
-        indices[rows], quantized[rows] = _snap(values[rows], level, transform)
-    return indices, quantized
+    return _by_level(
+        values, levels, lambda rows, level: _snap(rows, level, transform), (np.int64, np.float64)
+    )
 
 
 def quantize_projected(
@@ -213,13 +240,16 @@ def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
     _check_rows(indices, levels, "index array")
     if not np.issubdtype(indices.dtype, np.integer):
         raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
-    lvl = np.asarray(levels.levels)[:, None]
-    bad = (indices < 0) | (indices >= lvl)
-    if np.any(bad):
-        d, t = np.argwhere(bad)[0]
+    lvl = np.asarray(levels.levels)
+    # each row's extremes against its level; a [D, T] mask only to name the first bad index
+    if indices.size and np.any((indices.min(axis=1) < 0) | (indices.max(axis=1) >= lvl)):
+        d, t = np.argwhere((indices < 0) | (indices >= lvl[:, None]))[0]
         raise ValidationError(
             f"index {indices[d, t]} out of range for dimension {d} "
             f"(level {levels.levels[d]}) at frame {t}"
         )
-    return _lattice(indices, lvl)
+    (values,) = _by_level(
+        indices, levels, lambda rows, level: (_lattice(rows, level),), (np.float64,)
+    )
+    return values
 

@@ -11,7 +11,12 @@ information (their only digit is 0) and serve as padding when the dimension
 count is not a multiple of the group size.
 
 Everything here is exact integer arithmetic; the vectorized frame paths use
-uint64, and scheme construction rejects group products beyond 2**64.
+uint64, and scheme construction rejects group products beyond 2**64.  Both
+frame paths hold digits digit-major, one [frames] row per padded dimension,
+so a [D, frames] index array (what fsq returns) is read and written in
+memory order: packing checks every row against its radix - 1 and runs
+Horner's rule in place on contiguous [groups, frames] rows, and unpacking
+divides those rows digit by digit.
 """
 
 from __future__ import annotations
@@ -194,25 +199,27 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
         raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
     radices = scheme._table
     frames = indices.shape[0]
-    padded = np.zeros((frames, *radices.shape), dtype=np.uint64)
-    padded.reshape(frames, radices.size)[:, : scheme.dim] = indices
+    # digit-major, as unpack_frames writes: row g * group_size + k holds digit k of group g
+    padded = np.zeros((radices.size, frames), dtype=np.uint64)
+    padded[: scheme.dim] = indices.T
     # radix - 1 wraps a stored 0 to 2**64 - 1; a negative digit wraps above it
     # unless the radix exceeds 2**63
-    bad = padded > radices - np.uint64(1)
+    bad = padded > (radices - np.uint64(1)).reshape(-1, 1)
     if scheme._wide:
-        bad.reshape(frames, radices.size)[:, : scheme.dim] |= indices < 0
+        bad[: scheme.dim] |= indices.T < 0
     if np.any(bad):
-        f, g, k = np.argwhere(bad)[0]
-        d = g * scheme.group_size + k
+        f, d = np.argwhere(bad.T)[0]  # the first bad digit in frame order
         raise ValidationError(
             f"digit {indices[f, d]} at frame {f}, dimension {d} out of range "
             f"for radix {scheme.radices[d]}"
         )
     # uint64 arithmetic is exact modulo 2**64, and every token is below 2**64
-    tokens = np.zeros((frames, scheme.group_count), dtype=np.uint64)
-    for pos in range(scheme.group_size):
-        tokens = tokens * radices[None, :, pos] + padded[:, :, pos]
-    return tokens
+    digits = padded.reshape(*radices.shape, frames)
+    tokens = digits[:, 0].copy()  # the result does not keep every digit alive
+    for pos in range(1, scheme.group_size):
+        tokens *= radices[:, pos, None]
+        tokens += digits[:, pos]
+    return tokens.T
 
 
 def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:

@@ -199,6 +199,16 @@ class TestInfo:
         assert captured.err == f"error: {key} must be >= 1, got 0\n"
 
 
+    @pytest.mark.parametrize("text", ["daam.alpha = nan", "lambda_stft = inf", "temperature = -inf"])
+    def test_non_finite_scalar_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["info", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+
 class TestVocabSummary:
     @pytest.mark.parametrize(
         "levels, group_size, want",

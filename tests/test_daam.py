@@ -437,6 +437,14 @@ class TestParams:
         with pytest.raises(ValueError):
             DaamParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["gate_strength", "eps", "var_floor"])
+    def test_non_finite_scalar_rejected(self, name, value):
+        # nan <= 0 is false, so the positivity checks alone let eps = nan through
+        with pytest.raises(ValueError) as info:
+            DaamParams(np.zeros(2), np.zeros(2), **{name: value})
+        assert str(info.value) == f"{name} must be finite, got {value}"
+
     def test_init_component_bound(self):
         assert DaamParams.init(MAX_COMPONENTS).num_components == MAX_COMPONENTS
         for k in (0, MAX_COMPONENTS + 1, 10**9):

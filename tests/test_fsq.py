@@ -244,3 +244,15 @@ class TestLevels:
             FsqLevels(())
         with pytest.raises(ValueError):
             FsqLevels((4, 0))
+
+    @pytest.mark.parametrize("dtype", ["<u2", np.int64, np.uint64, np.int8])
+    def test_numpy_integer_levels_become_python_ints(self, dtype):
+        # read_token_file passes the header's <u2 radices as they are
+        levels = FsqLevels(np.array([4, 7, 1], dtype=dtype))
+        assert levels.levels == (4, 7, 1)
+        assert all(type(v) is int for v in levels.levels)
+
+    @pytest.mark.parametrize("bad", [(np.float64(4.0),), np.array([4.0, 2.0]), ("4",)])
+    def test_non_integer_levels_rejected(self, bad):
+        with pytest.raises(ValueError, match="^levels must be integers, got "):
+            FsqLevels(bad)

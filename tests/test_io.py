@@ -462,6 +462,35 @@ class TestConfigKeys:
         assert re.findall(r"`([a-z_.]+)`", listed) == list(_KEYS)
         assert set(KEY_SAMPLES) == set(_KEYS)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key, name",
+        [
+            ("lambda_stft", "lambda_stft"),
+            ("lambda_gan", "lambda_gan"),
+            ("temperature", "temperature"),
+            ("daam.alpha", "gate_strength"),
+        ],
+    )
+    def test_non_finite_scalar_is_a_config_error(self, key, name, value):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{key} = {value}")
+        assert str(info.value) == f"{name} must be finite, got {float(value)}"
+
+    FLOAT_KEYS = sorted(k for k, (kind, array, *_) in _KEYS.items() if kind is float and not array)
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.dictionaries(st.sampled_from(FLOAT_KEYS), st.floats()))
+    def test_every_accepted_config_equals_its_reparse(self, entries):
+        text = "".join(f"{key} = {value!r}\n" for key, value in entries.items())
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        twin = parse_config(text)
+        assert cfg == twin
+        assert hash(cfg) == hash(twin)
+
     def test_loss_weights_default_to_the_losses_module(self):
         assert CodecConfig().lambda_stft == losses.DEFAULT_LAMBDA_STFT
         assert CodecConfig().lambda_gan == losses.DEFAULT_LAMBDA_GAN

@@ -182,6 +182,10 @@ class TestOneLevelRule:
         (): "need at least one dimension",
         (4, 0): "all levels must be >= 1, got (4, 0)",
         (-1,): "all levels must be >= 1, got (-1,)",
+        # a float level is rejected, not truncated to (4, 2) or (2,)
+        (4.7, 2.2): "levels must be integers, got (4.7, 2.2)",
+        (2.5,): "levels must be integers, got (2.5,)",
+        (4.0, 4): "levels must be integers, got (4.0, 4)",
     }
 
     @pytest.mark.parametrize("group_size", [0, 1, 7])
@@ -208,6 +212,8 @@ class TestOneLevelRule:
         assert type(info.value) is ValueError
         assert str(info.value) == "all levels must be >= 1, got (0,)"
         assert fsq_boundaries(1).tolist() == [0.0]
+        with pytest.raises(ValueError, match=r"^levels must be integers, got \(2\.5,\)$"):
+            fsq_boundaries(2.5)
 
 
 class TestFrames:
