@@ -15,6 +15,7 @@ from .fsq import (
     FsqLevels,
     fsq_boundaries,
     fsq_dequantize,
+    fsq_indices,
     fsq_quantize,
     quantize_projected,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from . import fileio
 from .config import load_config
 from .errors import ConfigError, FormatError, ValidationError
-from .fsq import FsqLevels, fsq_dequantize, fsq_quantize
+from .fsq import FsqLevels, fsq_dequantize, fsq_indices
 from .losses import StftConfig, l1_loss, multi_res_stft, total_stage2
 from .masking import generate_block_mask, masked_fraction
 from .radix import TokenStream, pack_frames, token_rate, unpack_frames
@@ -67,7 +67,7 @@ def _cmd_tokenize(args) -> int:
     scheme = cfg.scheme
     tokens = np.empty((data.shape[1], scheme.group_count), dtype=np.uint64)
     for block in _blocks(data.shape[1]):
-        indices, _ = fsq_quantize(data[:, block], cfg.levels)
+        indices = fsq_indices(data[:, block], cfg.levels)
         tokens[block] = pack_frames(indices.T, scheme)
     stream = TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=frame_rate)
     fileio.write_token_file(args.out, stream)

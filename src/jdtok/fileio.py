@@ -30,6 +30,12 @@ Token file (magic ``JDT1``):
 
 The token width is 16 when every group vocabulary fits in 2**16, else 32;
 larger vocabularies are not serializable.
+
+A reader takes the whole file in one read into an uninitialised uint8
+buffer of the size ``fstat`` reports, so it pays no zero-fill that the read
+would overwrite; a feature payload is returned as a view of that buffer.
+A file that ends before that size is malformed; a pipe, whose size reads
+as 0, is read to its end.  Memory stays bounded by the file's size.
 """
 
 from __future__ import annotations
@@ -72,18 +78,20 @@ def _check_rate(rate, error: type[ValueError], where: str = "") -> float:
     return rate
 
 
-def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[bytearray, tuple]:
+def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[np.ndarray, tuple]:
     """Read a container and check its fixed header: size, magic, version, rate.
 
-    Returns the raw bytes, read once into one writable buffer, and the header
-    fields after magic and version.
+    Returns the raw bytes, read once into one writable uint8 buffer, and the
+    header fields after magic and version.
     """
     with open(path, "rb") as f:
-        raw = bytearray(os.fstat(f.fileno()).st_size)
-        if f.readinto(raw) != len(raw):
+        raw = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        if f.readinto(raw) != raw.size:
             raise FormatError(f"{path}: file shrank while it was read")
-        raw += f.read()  # empty for a regular file; all of a pipe, whose size is 0
-    if len(raw) < header.size:
+        rest = f.read()  # empty for a regular file; all of a pipe, whose size is 0
+    if rest:
+        raw = np.concatenate([raw, np.frombuffer(rest, dtype=np.uint8)])
+    if raw.size < header.size:
         raise FormatError(f"{path}: truncated header")
     found, version, *fields = header.unpack_from(raw)
     if found != magic:

@@ -35,6 +35,12 @@ Snap and dequantize share one per-level dispatch: with a single distinct
 level, the usual case, the kernel sees the whole [D, T] array and a scalar
 level; with mixed levels it runs once per distinct level on that level's
 rows.
+
+``fsq_indices`` is the snap alone: the threshold count, with no lattice
+values.  Packing needs only the integer codes, so tokenizing builds no
+[D, T] float64 array it would discard.  ``fsq_quantize`` adds the values,
+one ``take`` from the level's lattice per set of rows, unless asked for the
+indices alone.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .errors import ValidationError
 __all__ = [
     "FsqLevels",
     "fsq_boundaries",
+    "fsq_indices",
     "fsq_quantize",
     "quantize_projected",
     "fsq_dequantize",
@@ -182,8 +189,11 @@ def _count_thresholds(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     return index
 
 
-def _snap(x: np.ndarray, level: int, transform) -> tuple[np.ndarray, np.ndarray]:
+def _snap(x: np.ndarray, level: int, transform, with_values: bool) -> tuple:
+    """The indices of ``x``, and if ``with_values`` their lattice values."""
     index = _count_thresholds(x, _thresholds(level, transform, x.dtype.type))
+    if not with_values:
+        return (index,)
     return index, _lattice(np.arange(level), level).take(index)
 
 
@@ -205,12 +215,16 @@ def _by_level(array: np.ndarray, levels: FsqLevels, kernel, dtypes) -> tuple:
     return outs
 
 
-def _quantize(values, levels, transform) -> tuple[np.ndarray, np.ndarray]:
+def _quantize(values, levels, transform, with_values: bool = True) -> tuple:
     levels = _as_levels(levels)
     values = _finite_rows(values, levels)
-    return _by_level(
-        values, levels, lambda rows, level: _snap(rows, level, transform), (np.int64, np.float64)
+    outs = _by_level(
+        values,
+        levels,
+        lambda rows, level: _snap(rows, level, transform, with_values),
+        (np.int64, np.float64)[: 1 + with_values],
     )
+    return outs if with_values else (outs[0], None)
 
 
 def quantize_projected(
@@ -225,12 +239,25 @@ def quantize_projected(
     return _quantize(values, levels, _identity)
 
 
-def fsq_quantize(z: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+def fsq_indices(z: np.ndarray, levels) -> np.ndarray:
+    """The [D, T] int64 lattice indices of raw features after tanh, without their values.
+
+    Equal to ``fsq_quantize(z, levels)[0]``; tokenizing needs nothing more.
+    It calls ``fsq_quantize`` by its module name, so that the benchmark's
+    tracer, which wraps that name, still times the snap as ``fsq.quantize_s``.
+    """
+    return fsq_quantize(z, levels, with_values=False)[0]
+
+
+def fsq_quantize(
+    z: np.ndarray, levels, *, with_values: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Project raw [D, T] features through tanh and quantize to the lattice.
 
-    Returns (indices, quantized values).
+    Returns (indices, quantized values).  With ``with_values=False`` no
+    values are built and None stands in for them.
     """
-    return _quantize(z, levels, np.tanh)
+    return _quantize(z, levels, np.tanh, with_values)
 
 
 def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:

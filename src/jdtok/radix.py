@@ -17,10 +17,19 @@ so a [D, frames] index array (what fsq returns) is read and written in
 memory order: packing checks every row against its radix - 1 and runs
 Horner's rule in place on contiguous [groups, frames] rows, and unpacking
 divides those rows digit by digit.
+
+Unpacking divides each run of consecutive groups that share a radix at a
+digit position by that radix as a numpy scalar, q = rem // r, and writes
+the digit as rem - q * r.  A scalar divisor takes numpy's divide-by-invariant
+loop; divmod, or a [groups, 1] column of divisors, runs a hardware divide
+per element, several times slower.  The runs are computed once per scheme.
+Radix-1 runs (pads) need no divide: their digit is 0.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -63,6 +72,8 @@ class RadixScheme:
     # table: a radix of 2**64 is stored as 0, and its group's other radices are
     # all 1, so its digit is the group's token
     _table: np.ndarray = field(init=False, repr=False, compare=False)
+    # per digit position, the runs of groups that share a radix (_radix_runs)
+    _runs: tuple = field(init=False, repr=False, compare=False)
     # some radix exceeds 2**63: its digits need uint64, and a negative digit
     # cast to uint64 may wrap below it
     _wide: bool = field(init=False, repr=False, compare=False)
@@ -88,6 +99,7 @@ class RadixScheme:
         table = np.array([r % MAX_GROUP_PRODUCT for r in padded], dtype=np.uint64)
         table.flags.writeable = False
         object.__setattr__(self, "_table", table.reshape(len(groups), g))
+        object.__setattr__(self, "_runs", _radix_runs(groups))
         object.__setattr__(self, "_wide", max(radices) > _WRAP)
 
     @property
@@ -101,6 +113,25 @@ class RadixScheme:
     @property
     def pad_count(self) -> int:
         return len(self.padded_radices) - self.dim
+
+
+@functools.lru_cache(maxsize=64)
+def _radix_runs(groups: tuple[tuple[int, ...], ...]) -> tuple:
+    """Per digit position, (lo, hi, radix) for each run of consecutive groups sharing a radix.
+
+    The radix is a numpy uint64 scalar, and a 2**64 radix is given as 1.
+    Cached, as the fsq threshold tables are: every token file read builds
+    its scheme again, and the runs would make that half as slow again.
+    """
+    runs = []
+    for column in zip(*groups):
+        at, lo = [], 0
+        for radix, run in itertools.groupby(column):
+            hi = lo + len(list(run))
+            at.append((lo, hi, np.uint64(radix % MAX_GROUP_PRODUCT or 1)))
+            lo = hi
+        runs.append(tuple(at))
+    return tuple(runs)
 
 
 def build_scheme(levels, group_size: int = 7) -> RadixScheme:
@@ -228,22 +259,29 @@ def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
     Digits are int64, or uint64 when a radix exceeds 2**63.
     """
     tokens = _checked_tokens(tokens, scheme)
-    # a stored 0 (a 2**64 radix) divides by 1 here, and its token is set below
-    radices = np.maximum(scheme._table, np.uint64(1))
     # digit k of group g fills row g * group_size + k with frames along the
     # row, so the [D, frames] transpose that dequantization reads is contiguous
-    digits = np.empty(
-        (scheme.group_count, scheme.group_size, tokens.shape[0]),
-        dtype=np.uint64 if scheme._wide else np.int64,
-    )
+    digits = np.empty((scheme.group_count, scheme.group_size, tokens.shape[0]), dtype=np.uint64)
     rem = tokens.T
     for pos in range(scheme.group_size - 1, 0, -1):
-        rem, _ = np.divmod(rem, radices[:, pos, None], out=(None, digits[:, pos]))
+        quotient = np.empty(rem.shape, dtype=np.uint64)
+        for lo, hi, radix in scheme._runs[pos]:
+            part, q, digit = rem[lo:hi], quotient[lo:hi], digits[lo:hi, pos]
+            if radix == 1:  # a pad, or a 2**64 radix: its digit is set below
+                q[...] = part
+                digit[...] = 0
+                continue
+            np.floor_divide(part, radix, out=q)  # a scalar divisor: see the module docstring
+            np.multiply(q, radix, out=digit)
+            np.subtract(part, digit, out=digit)
+        rem = quotient
     digits[:, 0] = rem  # in range: every token is below its group product
     if scheme._wide:
         for g, pos in np.argwhere(scheme._table == 0):
             digits[g] = 0
             digits[g, pos] = tokens[:, g]
+    else:  # every digit is below 2**63
+        digits = digits.view(np.int64)
     return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
 
 

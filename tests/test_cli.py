@@ -1,5 +1,6 @@
 import hashlib
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jdtok.fsq
 from jdtok.cli import _BLOCK_FRAMES as B, _vocab_summary, build_parser, main
 from jdtok.fileio import (
     read_feature_file,
@@ -559,6 +561,60 @@ class TestBlocks:
         assert f"frame {2 * B + 2}" in capsys.readouterr().err
 
 
+class TestPipes:
+    """A stream read from a pipe gives the bytes of the same stream read from its file."""
+
+    FRAMES = 2 * B + 3  # a 526 kB feature payload: more than one 64 KiB pipe buffer
+
+    def run(self, command, src, out, *extra):
+        argv = [sys.executable, "-m", "jdtok", command, *extra, "--in", "/dev/stdin"]
+        argv += ["--out", str(out)]
+        proc = subprocess.run(argv, input=src.read_bytes(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_tokenize_and_detokenize_match_the_file_path_run(self, tmp_path, capsys):
+        feat, tok, back = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "b.jdf"
+        write_features(feat, self.FRAMES, seed=11)
+        assert main(["tokenize", "--config", CONFIG, "--in", str(feat), "--out", str(tok)]) == 0
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 0
+        printed = capsys.readouterr().out
+        piped_tok, piped_back = tmp_path / "pt.jdt", tmp_path / "pb.jdf"
+        stdout = self.run("tokenize", feat, piped_tok, "--config", CONFIG)
+        stdout += self.run("detokenize", tok, piped_back)
+        assert piped_tok.read_bytes() == tok.read_bytes()
+        assert piped_back.read_bytes() == back.read_bytes()
+        assert stdout.decode() == printed
+
+
+class TestShrinkingInput:
+    """A file that ends before the size ``fstat`` reported is malformed (exit 3)."""
+
+    @pytest.mark.parametrize("command", ["tokenize", "detokenize"])
+    def test_exits_3_without_output(self, tmp_path, capsys, monkeypatch, command):
+        feat, tok, out = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "out"
+        write_features(feat, 5)
+        assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 0
+        capsys.readouterr()
+        src = feat if command == "tokenize" else tok
+        inode, real_fstat = src.stat().st_ino, os.fstat
+
+        def fstat(fd):  # the input reports 4 bytes more than it holds
+            result = real_fstat(fd)
+            if result.st_ino != inode:
+                return result
+            fields = list(result)
+            fields[stat.ST_SIZE] += 4
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        assert main([command, "--in", str(src), "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{src}: file shrank while it was read" in captured.err
+
+
 def nearest_indices(projected, level, chunk=16):
     """Brute-force argmin over the whole lattice, ``chunk`` frames at a time."""
     lattice = fsq_boundaries(level)
@@ -709,11 +765,25 @@ class TestExitCodesFromErrorTypes:
         def broken(*args, **kwargs):
             raise ValueError("a fault in the program")
 
-        monkeypatch.setattr("jdtok.cli.fsq_quantize", broken)
+        monkeypatch.setattr("jdtok.cli.fsq_indices", broken)
         feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
         write_features(feat, 3)
         with pytest.raises(ValueError, match="a fault in the program"):
             main(["tokenize", "--in", str(feat), "--out", str(tok)])
+
+    def test_tokenize_snaps_through_fsq_quantize(self, tmp_path, monkeypatch, capsys):
+        # bench/tracer.py times the snap by wrapping jdtok.fsq.fsq_quantize
+        calls, original = [], jdtok.fsq.fsq_quantize
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("jdtok.fsq.fsq_quantize", recorded)
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        write_features(feat, B + 1)
+        assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 0
+        assert calls == [{"with_values": False}] * 2  # one per block, no values built
 
     @pytest.mark.parametrize("levels", [[70000, 70000], [2**64]], ids=["70000-levels", "2**64-radix"])
     def test_unserializable_scheme_exits_2_before_reading_input(self, tmp_path, capsys, levels):

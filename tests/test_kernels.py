@@ -1,10 +1,13 @@
 """The codec kernels against the algorithms they replaced, kept here as oracles.
 
 ``pack_frames`` once built its padded digits frame-major as
-[frames, groups, group_size]; ``fsq_dequantize`` broadcast a [D, 1] column of
-levels; the threshold count multiplied every step's comparison by its step;
-and the lattice was one expression with a temporary per operation.  Each
-kernel must equal its old form exactly and name the same first bad value.
+[frames, groups, group_size]; ``unpack_frames`` ran ``divmod`` against a
+[groups, 1] column of radices per digit position; ``fsq_dequantize``
+broadcast a [D, 1] column of levels; the threshold count multiplied every
+step's comparison by its step; the lattice was one expression with a
+temporary per operation; and the snap took its indices and values in one
+pass.  Each kernel must equal its old form exactly and name the same first
+bad value.
 The CLI's token and lattice bytes of one seeded stream are pinned per scheme.
 """
 
@@ -24,8 +27,11 @@ from jdtok.fsq import (
     _lattice,
     _thresholds,
     fsq_dequantize,
+    fsq_indices,
+    fsq_quantize,
+    quantize_projected,
 )
-from jdtok.radix import build_scheme, pack_frames
+from jdtok.radix import _checked_tokens, build_scheme, pack_frames, unpack_frames
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 LEVELS = [*range(1, 18), 255, 256, 65535]
@@ -35,6 +41,8 @@ PACK_SCHEMES = {
     "radix 2**64": ([2**64], 1),
     "2**64 among others": ([5, 1, 2**64, 1, 4], 2),
 }
+# and a radix above 2**63, whose digits need uint64
+UNPACK_SCHEMES = {**PACK_SCHEMES, "radix 2**63 + 1": ([2**63 + 1, 1, 7, 3], 2)}
 
 
 def frame_major_pack(indices, scheme):
@@ -58,6 +66,25 @@ def frame_major_pack(indices, scheme):
     for pos in range(scheme.group_size):
         tokens = tokens * radices[None, :, pos] + padded[:, :, pos]
     return tokens
+
+
+def column_divmod_unpack(tokens, scheme):
+    """The former unpack_frames: divmod by a [groups, 1] column of radices per position."""
+    tokens = _checked_tokens(tokens, scheme)
+    radices = np.maximum(scheme._table, np.uint64(1))
+    digits = np.empty(
+        (scheme.group_count, scheme.group_size, tokens.shape[0]),
+        dtype=np.uint64 if scheme._wide else np.int64,
+    )
+    rem = tokens.T
+    for pos in range(scheme.group_size - 1, 0, -1):
+        rem, _ = np.divmod(rem, radices[:, pos, None], out=(None, digits[:, pos]))
+    digits[:, 0] = rem
+    if scheme._wide:
+        for g, pos in np.argwhere(scheme._table == 0):
+            digits[g] = 0
+            digits[g, pos] = tokens[:, g]
+    return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
 
 
 def lattice_expression(index, level):
@@ -178,6 +205,20 @@ class TestPackOracle:
         assert outcome(lambda: frame_major_pack(digits, scheme)) == str(info.value)
 
 
+class TestUnpackOracle:
+    @pytest.mark.parametrize("frames", [0, 1, 511, 512, 513])
+    @pytest.mark.parametrize("name", UNPACK_SCHEMES)
+    def test_matches_column_divmod(self, name, frames):
+        scheme = build_scheme(*UNPACK_SCHEMES[name])
+        rng = np.random.default_rng(frames)
+        top = np.array([p - 1 for p in scheme.group_products], dtype=np.uint64)
+        random = np.stack(
+            [rng.integers(0, t, size=frames, dtype=np.uint64, endpoint=True) for t in top], axis=1
+        )
+        for tokens in (random, np.tile(top, (frames, 1))):  # random, and each group's largest
+            assert same(unpack_frames(tokens, scheme), column_divmod_unpack(tokens, scheme))
+
+
 class TestFsqOracles:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
     @pytest.mark.parametrize("level", LEVELS)
@@ -190,6 +231,27 @@ class TestFsqOracles:
             x = np.concatenate([*near, 3 * rng.standard_normal(600), [-30.0, 0.0, 30.0]])
             x = x.astype(dtype).reshape(1, -1)
             assert same(_count_thresholds(x, table), multiply_count(x, table))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("level", [*LEVELS, "mixed"])
+    def test_indices_and_values_match_the_take(self, level, dtype):
+        rng = np.random.default_rng(7)
+        levels = FsqLevels(tuple(LEVELS)) if level == "mixed" else FsqLevels((level,) * 3)
+        for quantize, transform in ((fsq_quantize, np.tanh), (quantize_projected, _identity)):
+            tables = [_thresholds(L, transform, dtype) for L in sorted(set(levels.levels))]
+            finite = np.concatenate([t[np.isfinite(t)] for t in tables])
+            near = [finite, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)]
+            cols = np.concatenate([*near, 3 * rng.standard_normal(300), [-30.0, 0.0, 30.0]])
+            x = np.tile(cols.astype(dtype), (levels.dim, 1))  # every row sees every threshold
+            index, values = quantize(x, levels)
+            if quantize is fsq_quantize:
+                assert same(fsq_indices(x, levels), index)
+                alone, none = fsq_quantize(x, levels, with_values=False)
+                assert same(alone, index) and none is None
+            take = np.stack(
+                [lattice_expression(np.arange(L), L)[row] for L, row in zip(levels.levels, index)]
+            )
+            assert same(values, take)
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_lattice_matches_expression(self, level):
