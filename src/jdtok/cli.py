@@ -20,7 +20,7 @@ import numpy as np
 from . import fileio
 from .config import load_config
 from .errors import ConfigError, FormatError, ValidationError
-from .fsq import FsqLevels, fsq_dequantize, fsq_indices
+from .fsq import fsq_dequantize, fsq_indices
 from .losses import StftConfig, l1_loss, multi_res_stft, total_stage2
 from .masking import generate_block_mask, masked_fraction
 from .radix import TokenStream, pack_frames, token_rate, unpack_frames
@@ -80,11 +80,10 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_detokenize(args) -> int:
     stream = fileio.read_token_file(args.infile)
-    levels = FsqLevels(stream.scheme.radices)
     values = np.empty((stream.scheme.dim, stream.frame_count), dtype=np.float32)
     for block in _blocks(stream.frame_count):
         indices = unpack_frames(stream.tokens[block], stream.scheme)
-        values[:, block] = fsq_dequantize(indices.T, levels)
+        values[:, block] = fsq_dequantize(indices.T, stream.scheme.levels)
     fileio.write_feature_file(args.out, values, stream.frame_rate_hz)
     print(f"frames: {stream.frame_count}")
     print(f"dimensions: {stream.scheme.dim}")

@@ -35,7 +35,8 @@ A reader takes the whole file in one read into an uninitialised uint8
 buffer of the size ``fstat`` reports, so it pays no zero-fill that the read
 would overwrite; a feature payload is returned as a view of that buffer.
 A file that ends before that size is malformed; a pipe, whose size reads
-as 0, is read to its end.  Memory stays bounded by the file's size.
+as 0, is read to its end into the same buffer, grown in place by an eighth
+at a time.  Memory stays bounded by the file's size.
 """
 
 from __future__ import annotations
@@ -86,11 +87,14 @@ def _read_header(path, header: struct.Struct, magic: bytes) -> tuple[np.ndarray,
     """
     with open(path, "rb") as f:
         raw = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
-        if f.readinto(raw) != raw.size:
+        filled = f.readinto(raw)
+        if filled != raw.size:
             raise FormatError(f"{path}: file shrank while it was read")
-        rest = f.read()  # empty for a regular file; all of a pipe, whose size is 0
-    if rest:
-        raw = np.concatenate([raw, np.frombuffer(rest, dtype=np.uint8)])
+        while f.peek(1):  # more than fstat said, as from a pipe: grow the buffer in place
+            if filled == raw.size:  # no view of raw is alive here
+                raw.resize(filled + max(filled // 8, 1 << 16), refcheck=False)
+            filled += f.readinto(raw[filled:])
+    raw.resize(filled, refcheck=False)
     if raw.size < header.size:
         raise FormatError(f"{path}: truncated header")
     found, version, *fields = header.unpack_from(raw)

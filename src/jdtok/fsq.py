@@ -6,13 +6,10 @@ zero.  Raw features are squashed through tanh and snapped to the nearest
 lattice point, so there is no codebook to learn and every code is a plain
 integer per dimension.
 
-``quantize_projected`` skips the tanh and operates on already-bounded values;
-it is the entry point for re-quantizing dequantized lattice values, for which
-it is exactly idempotent.
-
-Neither snap evaluates tanh or a distance per value.  Both compare the raw
-input with a table of L - 1 input-space thresholds, cached per level count,
-map (tanh or identity) and float width.  Threshold tau_j is the smallest
+Neither snap (``fsq_quantize``, or ``quantize_projected`` without the tanh)
+evaluates tanh or a distance per value.  Both compare the raw input with a
+table of L - 1 input-space thresholds, cached per level count, map (tanh or
+identity) and float width.  Threshold tau_j is the smallest
 float64 x whose image f(x) is strictly nearer lattice point j + 1 than j,
 |f(x) - c[j+1]| < |f(x) - c[j]|, in the float arithmetic an argmin over the
 distances uses.  The table is exact because that predicate is monotone in x:
@@ -31,16 +28,14 @@ compares exactly as its float64 value would, without an upcast.  The count
 is one branchless binary search over the table, padded with +inf to a power
 of two P: log2(P) passes of one gather and one comparison.
 
-Snap and dequantize share one per-level dispatch: with a single distinct
-level, the usual case, the kernel sees the whole [D, T] array and a scalar
-level; with mixed levels it runs once per distinct level on that level's
-rows.
+The snap and the lattice share one per-level dispatch, ``_by_level``.
+``fsq_indices`` is the snap alone, with no lattice values: tokenizing needs
+only the integer codes.
 
-``fsq_indices`` is the snap alone: the threshold count, with no lattice
-values.  Packing needs only the integer codes, so tokenizing builds no
-[D, T] float64 array it would discard.  ``fsq_quantize`` adds the values,
-one ``take`` from the level's lattice per set of rows, unless asked for the
-indices alone.
+Codec rules are checked once each: levels by ``FsqLevels``, digits by
+``_checked_indices`` (for ``fsq_dequantize`` and ``radix.pack_frames``),
+tokens by ``radix._checked_tokens``, rates by ``radix.token_rate`` and
+``fileio._check_rate``.
 """
 
 from __future__ import annotations
@@ -260,23 +255,45 @@ def fsq_quantize(
     return _quantize(z, levels, np.tanh, with_values)
 
 
-def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
-    """Map [D, T] integer lattice indices back to their lattice values."""
-    levels = _as_levels(levels)
+def _out_of_range(rows: np.ndarray, level: int) -> tuple:
+    """The mask of ``rows`` outside [0, level), for ``_by_level``."""
+    bad = rows < 0
+    if level <= np.iinfo(rows.dtype).max:  # else no digit of this dtype reaches it
+        bad |= rows >= level
+    return (bad,)
+
+
+def _checked_indices(indices, levels: FsqLevels) -> np.ndarray:
+    """[D, T] integer ``indices`` with digit d in [0, L_d), else the first bad one by frame.
+
+    Extremes compare with the levels as Python ints, so uint64 digits and
+    levels up to 2**64 stay exact; only a failure builds an element mask.
+    """
     indices = np.asarray(indices)
     _check_rows(indices, levels, "index array")
     if not np.issubdtype(indices.dtype, np.integer):
         raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
-    lvl = np.asarray(levels.levels)
-    # each row's extremes against its level; a [D, T] mask only to name the first bad index
-    if indices.size and np.any((indices.min(axis=1) < 0) | (indices.max(axis=1) >= lvl)):
-        d, t = np.argwhere((indices < 0) | (indices >= lvl[:, None]))[0]
-        raise ValidationError(
-            f"index {indices[d, t]} out of range for dimension {d} "
-            f"(level {levels.levels[d]}) at frame {t}"
-        )
+    if indices.size == 0:
+        return indices
+    if len(set(levels.levels)) == 1:  # the usual case: one min and one max
+        ends = [(indices.min(), indices.max(), levels.levels[0])]
+    else:  # each row's extremes: no gather of each level's rows
+        ends = zip(indices.min(axis=1).tolist(), indices.max(axis=1).tolist(), levels.levels)
+    if all(int(lo) >= 0 and int(hi) < level for lo, hi, level in ends):
+        return indices
+    (bad,) = _by_level(indices, levels, _out_of_range, (bool,))
+    t, d = np.argwhere(bad.T)[0]
+    raise ValidationError(
+        f"index {indices[d, t]} out of range for dimension {d} "
+        f"(level {levels.levels[d]}) at frame {t}"
+    )
+
+
+def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
+    """Map [D, T] integer lattice indices back to their lattice values."""
+    levels = _as_levels(levels)
+    indices = _checked_indices(indices, levels)
     (values,) = _by_level(
         indices, levels, lambda rows, level: (_lattice(rows, level),), (np.float64,)
     )
     return values
-

@@ -51,8 +51,8 @@ class StftConfig:
             raise ValueError("fft and hop sizes must be positive")
         if any(h > n for n, h in zip(self.fft_sizes, self.hop_sizes)):
             raise ValueError("hop size must not exceed fft size")
-        if self.magnitude_floor <= 0:
-            raise ValueError("magnitude_floor must be > 0")
+        if not (np.isfinite(self.magnitude_floor) and self.magnitude_floor > 0):
+            raise ValueError(f"magnitude_floor must be finite and > 0, got {self.magnitude_floor}")
 
 
 def jepa_masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> float:

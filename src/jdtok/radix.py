@@ -14,9 +14,12 @@ Everything here is exact integer arithmetic; the vectorized frame paths use
 uint64, and scheme construction rejects group products beyond 2**64.  Both
 frame paths hold digits digit-major, one [frames] row per padded dimension,
 so a [D, frames] index array (what fsq returns) is read and written in
-memory order: packing checks every row against its radix - 1 and runs
-Horner's rule in place on contiguous [groups, frames] rows, and unpacking
-divides those rows digit by digit.
+memory order: packing runs Horner's rule in place on contiguous
+[groups, frames] rows, and unpacking divides those rows digit by digit.
+
+A radix is a level count: a scheme keeps its radices as ``scheme.levels``,
+against which ``pack_frames`` checks digits by fsq's one digit check.
+``_checked_tokens`` checks tokens for ``TokenStream`` and ``unpack_frames``.
 
 Unpacking divides each run of consecutive groups that share a radix at a
 digit position by that radix as a numpy scalar, q = rem // r, and writes
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fsq import FsqLevels
+from .fsq import FsqLevels, _checked_indices
 
 __all__ = [
     "RadixScheme",
@@ -61,11 +64,13 @@ class RadixScheme:
     ``radices`` holds one radix per real dimension; the final group is padded
     with radix-1 dimensions up to a multiple of ``group_size``, which may not
     exceed the dimension count.  The derived padded layout, per-group
-    vocabularies and the packing table are computed once, at construction.
+    vocabularies and the packing table are computed once, at construction,
+    as is ``levels``: the radices as the ``FsqLevels`` that checked them.
     """
 
     radices: tuple[int, ...]
     group_size: int
+    levels: FsqLevels = field(init=False, repr=False, compare=False)
     padded_radices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     group_products: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # the padded radices modulo 2**64 as a read-only uint64 [groups, group_size]
@@ -74,12 +79,12 @@ class RadixScheme:
     _table: np.ndarray = field(init=False, repr=False, compare=False)
     # per digit position, the runs of groups that share a radix (_radix_runs)
     _runs: tuple = field(init=False, repr=False, compare=False)
-    # some radix exceeds 2**63: its digits need uint64, and a negative digit
-    # cast to uint64 may wrap below it
+    # some radix exceeds 2**63: unpacked digits need uint64
     _wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        radices = FsqLevels(self.radices).levels  # every radix is a level count
+        levels = FsqLevels(self.radices)
+        radices = levels.levels
         g = self.group_size
         if g < 1:
             raise ValueError(f"group_size must be >= 1, got {g}")
@@ -94,6 +99,7 @@ class RadixScheme:
                     f"group {i} product {prod} exceeds 2**64; use a smaller group size"
                 )
         object.__setattr__(self, "radices", radices)
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "padded_radices", padded)
         object.__setattr__(self, "group_products", products)
         table = np.array([r % MAX_GROUP_PRODUCT for r in padded], dtype=np.uint64)
@@ -226,24 +232,12 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
         raise ValueError(
             f"expected a [frames, {scheme.dim}] index array, got shape {indices.shape}"
         )
-    if not np.issubdtype(indices.dtype, np.integer):
-        raise ValidationError(f"indices must be integers, got dtype {indices.dtype}")
+    _checked_indices(indices.T, scheme.levels)
     radices = scheme._table
     frames = indices.shape[0]
     # digit-major, as unpack_frames writes: row g * group_size + k holds digit k of group g
     padded = np.zeros((radices.size, frames), dtype=np.uint64)
-    padded[: scheme.dim] = indices.T
-    # radix - 1 wraps a stored 0 to 2**64 - 1; a negative digit wraps above it
-    # unless the radix exceeds 2**63
-    bad = padded > (radices - np.uint64(1)).reshape(-1, 1)
-    if scheme._wide:
-        bad[: scheme.dim] |= indices.T < 0
-    if np.any(bad):
-        f, d = np.argwhere(bad.T)[0]  # the first bad digit in frame order
-        raise ValidationError(
-            f"digit {indices[f, d]} at frame {f}, dimension {d} out of range "
-            f"for radix {scheme.radices[d]}"
-        )
+    padded[: scheme.dim] = indices.T  # no digit is negative: none wraps
     # uint64 arithmetic is exact modulo 2**64, and every token is below 2**64
     digits = padded.reshape(*radices.shape, frames)
     tokens = digits[:, 0].copy()  # the result does not keep every digit alive

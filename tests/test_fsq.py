@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_cli import SCHEMES
 
 from jdtok.errors import ValidationError
 from jdtok.fsq import (
     FsqLevels,
     _identity,
+    _ordered,
     _thresholds,
     fsq_boundaries,
     fsq_dequantize,
@@ -47,6 +49,39 @@ def ulp_window(centres, dtype, half=2**16):
     keys = bits ^ ((bits >> (8 * bits.itemsize - 1)) & magnitude)  # float order
     keys = keys[:, None] + np.arange(-half, half + 1, dtype=itype)
     return (keys ^ ((keys >> (8 * keys.itemsize - 1)) & magnitude)).view(dtype)
+
+
+def rounded_up_to_float32(x):
+    """float64 ``x`` rounded up to float32, as ``_thresholds`` builds a float32 table."""
+    table = x.astype(np.float32)
+    low = table < x
+    table[low] = np.nextafter(table[low], np.float32(np.inf))
+    return table
+
+
+class TestFloat32Margin:
+    """The float32 tanh tables do not depend on the last float64 ulps of tanh.
+
+    float64 np.tanh differs at ulp level between numpy's SIMD targets, which
+    moved a float64 threshold by up to 468 ulps at L = 65535.  Each float32
+    threshold is the float64 one rounded up, so the CLI's token bytes stay
+    the same on every platform only while no float64 threshold lies within
+    that distance of a float32 rounding boundary.
+    """
+
+    @pytest.mark.parametrize(
+        "level", sorted({L for levels, _ in SCHEMES.values() for L in levels} | {255, 256})
+    )
+    def test_table_survives_1024_ulps_either_way(self, level):
+        exact = _thresholds(level, np.tanh, np.float64)[: level - 1]
+        table = _thresholds(level, np.tanh, np.float32)[: level - 1]
+        keep = np.ones(level - 1, dtype=bool)
+        if level % 2 == 0:  # the middle one: a tiny power of two, exact in float32, where tanh(x) = x
+            keep[level // 2 - 1] = False
+        # rounding up is monotone: the two ends bound every move in between
+        for ulps in (-1024, 0, 1024):
+            moved = _ordered(_ordered(exact.view(np.int64)) + ulps).view(np.float64)
+            np.testing.assert_array_equal(rounded_up_to_float32(moved)[keep], table[keep])
 
 
 class TestBoundaries:

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tempfile
+import threading
 import tracemalloc
 from operator import attrgetter
 from pathlib import Path
@@ -100,6 +101,34 @@ class TestFeatureFile:
             tracemalloc.stop()
         assert peak < 1.25 * data.nbytes
         np.testing.assert_array_equal(back, data)
+        assert back.flags.writeable
+
+    def test_read_from_a_pipe_holds_the_payload_once(self, tmp_path):
+        # a pipe's size reads as 0: the reader grows one buffer as the bytes arrive
+        path = tmp_path / "big.jdf"
+        data = np.random.default_rng(5).standard_normal((128, 20_000)).astype(np.float32)
+        write_feature_file(path, data, 2.5)
+        view = memoryview(path.read_bytes())
+        r, w = os.pipe()
+
+        def feed():
+            with open(w, "wb", buffering=0) as sink:
+                for at in range(0, len(view), 1 << 16):
+                    sink.write(view[at : at + (1 << 16)])
+
+        writer = threading.Thread(target=feed)
+        tracemalloc.start()
+        try:
+            writer.start()
+            back, rate = read_feature_file(f"/dev/fd/{r}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join()
+            os.close(r)
+        assert peak < 1.25 * data.nbytes
+        np.testing.assert_array_equal(back, data)
+        assert rate == 2.5
         assert back.flags.writeable
 
     @pytest.mark.parametrize("frames", [2**61, 2**62, 2**64 - 1])

@@ -7,7 +7,7 @@ broadcast a [D, 1] column of levels; the threshold count multiplied every
 step's comparison by its step; the lattice was one expression with a
 temporary per operation; and the snap took its indices and values in one
 pass.  Each kernel must equal its old form exactly and name the same first
-bad value.
+bad value, in the one message and order of fsq's digit check.
 The CLI's token and lattice bytes of one seeded stream are pinned per scheme.
 """
 
@@ -59,8 +59,8 @@ def frame_major_pack(indices, scheme):
         f, g, k = np.argwhere(bad)[0]
         d = g * scheme.group_size + k
         raise ValidationError(
-            f"digit {indices[f, d]} at frame {f}, dimension {d} out of range "
-            f"for radix {scheme.radices[d]}"
+            f"index {indices[f, d]} out of range for dimension {d} "
+            f"(level {scheme.radices[d]}) at frame {f}"
         )
     tokens = np.zeros((frames, scheme.group_count), dtype=np.uint64)
     for pos in range(scheme.group_size):
@@ -98,7 +98,7 @@ def column_dequantize(indices, levels):
     lvl = np.asarray(levels.levels)[:, None]
     bad = (indices < 0) | (indices >= lvl)
     if np.any(bad):
-        d, t = np.argwhere(bad)[0]
+        t, d = np.argwhere(bad.T)[0]  # the earliest frame, then the lowest dimension
         raise ValidationError(
             f"index {indices[d, t]} out of range for dimension {d} "
             f"(level {levels.levels[d]}) at frame {t}"
@@ -187,7 +187,7 @@ class TestPackOracle:
         digits[0, 4] = 7
         digits[1, 0] = 5
         digits[2, 2] = -1
-        message = "digit 7 at frame 0, dimension 4 out of range for radix 7"
+        message = "index 7 out of range for dimension 4 (level 7) at frame 0"
         with pytest.raises(ValidationError) as info:
             pack_frames(digits, scheme)
         assert str(info.value) == message
@@ -200,7 +200,7 @@ class TestPackOracle:
         digits[0, 2] = -3
         with pytest.raises(ValidationError) as info:
             pack_frames(digits, scheme)
-        message = f"digit -3 at frame 0, dimension 2 out of range for radix {2**64}"
+        message = f"index -3 out of range for dimension 2 (level {2**64}) at frame 0"
         assert str(info.value) == message
         assert outcome(lambda: frame_major_pack(digits, scheme)) == str(info.value)
 
@@ -284,15 +284,16 @@ class TestFsqOracles:
     def test_first_out_of_range_under_mixed_levels(self):
         levels = FsqLevels((4, 1, 7, 2, 16, 3))
         idx = np.zeros((6, 10), dtype=np.int64)
-        idx[4, 0] = 16  # an earlier frame, but a later dimension
-        idx[2, 5] = 7
+        idx[4, 0] = 16  # the earliest frame, though a later dimension
+        idx[5, 5] = 3
+        idx[2, 5] = 7  # the same frame, a lower dimension
         idx[1, 8] = -1
-        message = "index -1 out of range for dimension 1 (level 1) at frame 8"
+        message = "index 16 out of range for dimension 4 (level 16) at frame 0"
         with pytest.raises(ValidationError) as info:
             fsq_dequantize(idx, levels)
         assert str(info.value) == message
         assert outcome(lambda: column_dequantize(idx, levels)) == message
-        idx[1, 8] = 0
+        idx[4, 0] = 0
         message = "index 7 out of range for dimension 2 (level 7) at frame 5"
         assert outcome(lambda: fsq_dequantize(idx, levels)) == message
 
@@ -301,6 +302,35 @@ class TestFsqOracles:
         idx[1, 2] = 2**64 - 1
         message = f"index {2**64 - 1} out of range for dimension 1 (level 4) at frame 2"
         assert outcome(lambda: fsq_dequantize(idx, FsqLevels((4, 4)))) == message
+
+
+class TestOneDigitRule:
+    """A bad digit is named alike by pack_frames ([frames, D]) and fsq_dequantize ([D, T])."""
+
+    def test_earliest_frame_then_lowest_dimension(self):
+        scheme = build_scheme([5, 4, 3, 2, 7], 3)
+        digits = np.zeros((3, 5), dtype=np.int64)
+        digits[1, 0] = 5
+        digits[0, 4] = 7
+        digits[0, 2] = -1
+        message = "index -1 out of range for dimension 2 (level 3) at frame 0"
+        assert outcome(lambda: pack_frames(digits, scheme)) == message
+        assert outcome(lambda: fsq_dequantize(digits.T, scheme.levels)) == message
+
+    @pytest.mark.parametrize("name", PACK_SCHEMES)
+    def test_same_message_for_the_same_digits(self, name):
+        radices, group_size = PACK_SCHEMES[name]
+        scheme = build_scheme(radices, group_size)
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            digits = random_digits(radices, 6, np.int64, seed=trial)
+            for _ in range(1 + trial % 3):
+                f, d = rng.integers(6), rng.integers(len(radices))
+                digits[f, d] = rng.choice([-1, radices[d]]) if radices[d] < 2**63 else -1
+            packed = outcome(lambda: pack_frames(digits, scheme))
+            assert isinstance(packed, str)
+            dequantized = outcome(lambda: fsq_dequantize(np.ascontiguousarray(digits.T), scheme.levels))
+            assert packed == dequantized
 
 
 # SHA-256 of the token and lattice files of one seeded 1027-frame stream, per

@@ -419,6 +419,8 @@ class TestStftConfig:
             dict(fft_sizes=(256,), hop_sizes=(512,)),
             dict(fft_sizes=(0,), hop_sizes=(0,)),
             dict(magnitude_floor=0.0),
+            dict(magnitude_floor=float("nan")),
+            dict(magnitude_floor=float("inf")),
         ],
     )
     def test_invalid(self, kwargs):

@@ -133,6 +133,7 @@ class TestScheme:
     def test_default_layout(self):
         scheme = build_scheme(FsqLevels(), group_size=7)
         assert scheme.dim == 128
+        assert scheme.levels == FsqLevels()  # the radices as the level list that checked them
         assert scheme.group_count == 19
         assert scheme.pad_count == 5
         assert scheme.group_products[0] == 16384
@@ -260,7 +261,7 @@ class TestFrames:
         scheme = build_scheme([4, 4], group_size=2)
         frames = np.zeros((3, 2), dtype=np.int64)
         frames[2, 1] = 4
-        with pytest.raises(ValidationError, match="frame 2, dimension 1"):
+        with pytest.raises(ValidationError, match=r"^index 4 out of range for dimension 1 \(level 4\) at frame 2$"):
             pack_frames(frames, scheme)
 
     def test_bad_token_names_frame_and_group(self):
@@ -433,7 +434,7 @@ class TestPackDigits:
             pack_frames(frames, UNEVEN)
         radix = UNEVEN.radices[dim]
         assert str(info.value) == (
-            f"digit {digit} at frame {frame}, dimension {dim} out of range for radix {radix}"
+            f"index {digit} out of range for dimension {dim} (level {radix}) at frame {frame}"
         )
 
     def test_first_bad_digit_is_named(self):
@@ -441,13 +442,13 @@ class TestPackDigits:
         frames[1, 4] = 7
         frames[1, 0] = 9
         frames[0, 3] = -1
-        with pytest.raises(ValidationError, match="digit -1 at frame 0, dimension 3 "):
+        with pytest.raises(ValidationError, match=r"^index -1 out of range for dimension 3 \(level 2\) at frame 0$"):
             pack_frames(frames, UNEVEN)
 
     def test_unsigned_digit_is_named_as_given(self):
         frames = np.zeros((1, 5), dtype=np.uint64)
         frames[0, 2] = (1 << 64) - 1
-        with pytest.raises(ValidationError, match=f"digit {(1 << 64) - 1} at frame 0, dimension 2 "):
+        with pytest.raises(ValidationError, match=f"^index {(1 << 64) - 1} out of range for dimension 2 "):
             pack_frames(frames, UNEVEN)
 
     def test_largest_digits_pack(self):
@@ -491,5 +492,5 @@ class TestPackDigits:
         d = radices.index(max(radices))
         signed = np.zeros((1, len(radices)), dtype=np.int64)
         signed[0, d] = np.iinfo(np.int64).min
-        with pytest.raises(ValidationError, match=f"^digit {signed[0, d]} at frame 0, dimension {d} "):
+        with pytest.raises(ValidationError, match=f"^index {signed[0, d]} out of range for dimension {d} "):
             pack_frames(signed, scheme)
