@@ -26,7 +26,10 @@ point, even where both rounded distances of a huge value are equal.  A
 float32 table holds each tau_j rounded up to float32, so a float32 input
 compares exactly as its float64 value would, without an upcast.  The count
 is one branchless binary search over the table, padded with +inf to a power
-of two P: log2(P) passes of one gather and one comparison.
+of two P >= 4.  Its top two levels are three comparisons with scalar
+splitters, the entries that end each quarter of the table; the remaining
+log2(P) - 2 levels are passes of one gather and one comparison.  At 4
+levels, the default, the three splitters are the whole table: no gather.
 
 The snap and the lattice share one per-level dispatch, ``_by_level``.
 ``fsq_indices`` is the snap alone, with no lattice values: tokenizing needs
@@ -143,7 +146,8 @@ def _ordered(bits: np.ndarray) -> np.ndarray:
 def _thresholds(level: int, transform, dtype) -> np.ndarray:
     """The ascending thresholds tau_j for ``level`` levels, read-only.
 
-    +inf pads the table to a power of two P >= ``level``.  A float32 table
+    +inf pads the table to a power of two P >= max(``level``, 4), so that it
+    has the three splitters of ``_count_thresholds``.  A float32 table
     rounds each float64 threshold up, so that for a float32 x,
     x >= float32 tau_j exactly when float64(x) >= tau_j.
     """
@@ -164,18 +168,25 @@ def _thresholds(level: int, transform, dtype) -> np.ndarray:
             nearer = np.abs(image - above) < np.abs(image - below)
             hi = np.where(nearer, mid, hi)
             lo = np.where(nearer, lo, mid)
-        table = np.full(1 << (level - 1).bit_length(), np.inf)
+        table = np.full(max(4, 1 << (level - 1).bit_length()), np.inf)
         table[: level - 1] = _ordered(hi).view(np.float64)
     table.flags.writeable = False
     return table
 
 
 def _count_thresholds(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The number of ``table`` entries <= x, for each x: one binary search."""
-    step = table.size // 2
-    if step == 0:
-        return np.zeros(x.shape, dtype=np.int64)
-    index = np.multiply(x >= table[step - 1], step, dtype=np.int64)
+    """The number of ``table`` entries <= x, for each x: one binary search.
+
+    Its top two levels count x against the three scalar splitters
+    table[s - 1], table[2s - 1] and table[3s - 1], s = table.size / 4, in
+    uint8 through bool views: no gather and no cast.  Each further level
+    halves the step and makes one gather.
+    """
+    step = table.size // 4
+    count = (x >= table[step - 1]).view(np.uint8)
+    count += (x >= table[2 * step - 1]).view(np.uint8)
+    count += (x >= table[3 * step - 1]).view(np.uint8)
+    index = np.multiply(count, step, dtype=np.int64)
     while step > 1:
         step //= 2
         # index is a multiple of 2 * step, so index + step - 1 stays in the table

@@ -12,21 +12,24 @@ count is not a multiple of the group size.
 
 Everything here is exact integer arithmetic; the vectorized frame paths use
 uint64, and scheme construction rejects group products beyond 2**64.  Both
-frame paths hold digits digit-major, one [frames] row per padded dimension,
-so a [D, frames] index array (what fsq returns) is read and written in
-memory order: packing runs Horner's rule in place on contiguous
-[groups, frames] rows, and unpacking divides those rows digit by digit.
+frame paths hold digits digit-major, one [frames] row per dimension, so a
+[D, frames] index array (what fsq returns) is read and written in memory
+order: packing runs Horner's rule on [groups, frames] token rows, reading
+the digit rows in place, and unpacking divides those rows digit by digit.
 
 A radix is a level count: a scheme keeps its radices as ``scheme.levels``,
 against which ``pack_frames`` checks digits by fsq's one digit check.
 ``_checked_tokens`` checks tokens for ``TokenStream`` and ``unpack_frames``.
 
-Unpacking divides each run of consecutive groups that share a radix at a
-digit position by that radix as a numpy scalar, q = rem // r, and writes
-the digit as rem - q * r.  A scalar divisor takes numpy's divide-by-invariant
-loop; divmod, or a [groups, 1] column of divisors, runs a hardware divide
-per element, several times slower.  The runs are computed once per scheme.
-Radix-1 runs (pads) need no divide: their digit is 0.
+Both walk, per digit position, the runs of consecutive groups that share a
+radix there, with that radix as a numpy scalar.  Packing multiplies a run's
+token rows by it and adds the run's digit rows, a strided view of every
+group_size-th row.  Unpacking divides, q = rem // r, and writes the digit
+as rem - q * r.  A scalar divisor takes numpy's divide-by-invariant loop;
+divmod, or a [groups, 1] column of divisors, runs a hardware divide per
+element, several times slower.  The runs are computed once per scheme.
+Radix-1 runs (pads) need no multiply or divide: their digit is 0, and a
+pad has no digit row to add.
 """
 
 from __future__ import annotations
@@ -232,18 +235,22 @@ def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
         raise ValueError(
             f"expected a [frames, {scheme.dim}] index array, got shape {indices.shape}"
         )
-    _checked_indices(indices.T, scheme.levels)
-    radices = scheme._table
-    frames = indices.shape[0]
-    # digit-major, as unpack_frames writes: row g * group_size + k holds digit k of group g
-    padded = np.zeros((radices.size, frames), dtype=np.uint64)
-    padded[: scheme.dim] = indices.T  # no digit is negative: none wraps
+    digits = _checked_indices(indices.T, scheme.levels)  # [D, frames]: no digit is negative
+    size = scheme.group_size
+    # digit k of group g is row g * group_size + k; every group has its digit 0
+    tokens = digits[::size].astype(np.uint64, order="C")  # its own buffer: no digit stays alive
     # uint64 arithmetic is exact modulo 2**64, and every token is below 2**64
-    digits = padded.reshape(*radices.shape, frames)
-    tokens = digits[:, 0].copy()  # the result does not keep every digit alive
-    for pos in range(1, scheme.group_size):
-        tokens *= radices[:, pos, None]
-        tokens += digits[:, pos]
+    for pos in range(1, size):
+        for lo, hi, radix in scheme._runs[pos]:
+            part = tokens[lo:hi]
+            if radix != 1:  # a radix 2**64 is given as 1: its group's earlier digits are 0
+                part *= radix
+            rows = digits[lo * size + pos : hi * size + pos : size]  # no row for a pad
+            if len(rows):
+                part = part[: len(rows)]
+                # force the uint64 loop, exact on non-negative digits: uint64 + int64
+                # would promote to float64
+                np.add(part, rows, out=part, dtype=np.uint64, casting="unsafe")
     return tokens.T
 
 

@@ -1,12 +1,14 @@
 """The codec kernels against the algorithms they replaced, kept here as oracles.
 
 ``pack_frames`` once built its padded digits frame-major as
-[frames, groups, group_size]; ``unpack_frames`` ran ``divmod`` against a
+[frames, groups, group_size], then digit-major as a zero-filled
+[groups * group_size, frames] copy multiplied by a [groups, 1] column of
+radices per digit position; ``unpack_frames`` ran ``divmod`` against a
 [groups, 1] column of radices per digit position; ``fsq_dequantize``
-broadcast a [D, 1] column of levels; the threshold count multiplied every
-step's comparison by its step; the lattice was one expression with a
-temporary per operation; and the snap took its indices and values in one
-pass.  Each kernel must equal its old form exactly and name the same first
+broadcast a [D, 1] column of levels; the threshold count made one gather
+per level and multiplied every step's comparison by its step; the lattice
+was one expression with a temporary per operation; and the snap took its
+indices and values in one pass.  Each kernel must equal its old form exactly and name the same first
 bad value, in the one message and order of fsq's digit check.
 The CLI's token and lattice bytes of one seeded stream are pinned per scheme.
 """
@@ -22,6 +24,7 @@ from jdtok.errors import ValidationError
 from jdtok.fileio import write_feature_file
 from jdtok.fsq import (
     FsqLevels,
+    _checked_indices,
     _count_thresholds,
     _identity,
     _lattice,
@@ -34,7 +37,9 @@ from jdtok.fsq import (
 from jdtok.radix import _checked_tokens, build_scheme, pack_frames, unpack_frames
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
-LEVELS = [*range(1, 18), 255, 256, 65535]
+# the splitter stride of the threshold count is 8 at 17 levels, 16 at 33,
+# 64 at 255 and 256, 128 at 257 and 512 at 1025
+LEVELS = [*range(1, 18), 33, 255, 256, 257, 1025, 65535]
 # every scheme of the CLI tests, plus 2**64 radices, alone and among others
 PACK_SCHEMES = {
     **SCHEMES,
@@ -66,6 +71,22 @@ def frame_major_pack(indices, scheme):
     for pos in range(scheme.group_size):
         tokens = tokens * radices[None, :, pos] + padded[:, :, pos]
     return tokens
+
+
+def padded_column_pack(indices, scheme):
+    """The former pack_frames: a zero-filled digit-major copy, times a [groups, 1] radix column."""
+    indices = np.asarray(indices)
+    _checked_indices(indices.T, scheme.levels)
+    radices = scheme._table
+    frames = indices.shape[0]
+    padded = np.zeros((radices.size, frames), dtype=np.uint64)
+    padded[: scheme.dim] = indices.T
+    digits = padded.reshape(*radices.shape, frames)
+    tokens = digits[:, 0].copy()
+    for pos in range(1, scheme.group_size):
+        tokens *= radices[:, pos, None]
+        tokens += digits[:, pos]
+    return tokens.T
 
 
 def column_divmod_unpack(tokens, scheme):
@@ -148,11 +169,15 @@ class TestPackOracle:
     def test_matches_frame_major_pack(self, name, dtype):
         radices, group_size = PACK_SCHEMES[name]
         scheme = build_scheme(radices, group_size)
-        for frames in (0, 1, 7, 513):
+        for frames in (0, 1, 7, 20, 512, 513):
             digits = random_digits(radices, frames, dtype, seed=frames)
-            # as given, and as the transpose of a [D, frames] array, as the CLI passes it
-            for given in (digits, np.ascontiguousarray(digits.T).T):
-                assert same(pack_frames(given, scheme), frame_major_pack(given, scheme))
+            wider = np.ascontiguousarray(random_digits(radices, frames + 9, dtype, seed=frames).T)
+            # as given, as the transpose of a [D, frames] array, as the CLI passes it,
+            # and as the transpose of a frame slice of a wider [D, F] array
+            for given in (digits, np.ascontiguousarray(digits.T).T, wider[:, 4 : 4 + frames].T):
+                packed = pack_frames(given, scheme)
+                assert same(packed, frame_major_pack(given, scheme))
+                assert same(packed, padded_column_pack(given, scheme))
 
     @pytest.mark.parametrize("name", PACK_SCHEMES)
     def test_largest_digits_match(self, name):
@@ -160,6 +185,7 @@ class TestPackOracle:
         scheme = build_scheme(radices, group_size)
         top = np.array([[r - 1 for r in radices]] * 3, dtype=np.uint64)
         assert same(pack_frames(top, scheme), frame_major_pack(top, scheme))
+        assert same(pack_frames(top, scheme), padded_column_pack(top, scheme))
 
     @pytest.mark.parametrize("name", PACK_SCHEMES)
     def test_bad_digits_name_the_same_first_one(self, name):
@@ -178,6 +204,7 @@ class TestPackOracle:
                     digits[f, d] = np.uint64(2**64 - 1)
             expected = outcome(lambda: frame_major_pack(digits, scheme))
             assert same(outcome(lambda: pack_frames(digits, scheme)), expected)
+            assert same(outcome(lambda: padded_column_pack(digits, scheme)), expected)
 
     def test_frame_order_not_digit_order(self):
         # frame 0 holds a bad last digit, frame 1 a bad first digit: digit-major
@@ -231,6 +258,19 @@ class TestFsqOracles:
             x = np.concatenate([*near, 3 * rng.standard_normal(600), [-30.0, 0.0, 30.0]])
             x = x.astype(dtype).reshape(1, -1)
             assert same(_count_thresholds(x, table), multiply_count(x, table))
+            empty = np.zeros((3, 0), dtype=dtype)
+            assert same(_count_thresholds(empty, table), multiply_count(empty, table))
+
+    @pytest.mark.parametrize("level", [4, 5, 65535])
+    def test_indices_of_a_frame_slice_match_a_contiguous_copy(self, level):
+        # the CLI snaps data[:, block], a strided view of the whole [D, F] stream
+        rng = np.random.default_rng(level)
+        data = (2 * rng.standard_normal((6, 1500))).astype(np.float32)
+        levels = FsqLevels((level,) * 6)
+        block = data[:, 512:1024]
+        assert not block.flags.c_contiguous
+        expected = fsq_indices(np.ascontiguousarray(block), levels)
+        assert same(fsq_indices(block, levels), expected)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
     @pytest.mark.parametrize("level", [*LEVELS, "mixed"])
