@@ -31,7 +31,10 @@ splitters, the entries that end each quarter of the table; the remaining
 log2(P) - 2 levels are passes of one gather and one comparison.  At 4
 levels, the default, the three splitters are the whole table: no gather.
 
-The snap and the lattice share one per-level dispatch, ``_by_level``.
+Only the snap loops over the distinct levels, since each level count has
+its own table; the lattice and the digit check are arithmetic on the level,
+a Python int when all dimensions share it, else broadcast as a float64
+[D, 1] column (lattice) or compared row by row (a failed digit check).
 ``fsq_indices`` is the snap alone, with no lattice values: tokenizing needs
 only the integer codes.
 
@@ -96,7 +99,8 @@ def fsq_boundaries(level: int) -> np.ndarray:
 
 def _lattice(index, level):
     # (2 index - level + 1) / level in one float64 buffer; shared by snap,
-    # dequantize and boundaries so they agree bit for bit
+    # dequantize and boundaries so they agree bit for bit.  level is an int,
+    # or a float64 [D, 1] column for mixed levels
     out = np.multiply(2.0, index)
     out -= level
     out += 1
@@ -196,41 +200,29 @@ def _count_thresholds(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _snap(x: np.ndarray, level: int, transform, with_values: bool) -> tuple:
-    """The indices of ``x``, and if ``with_values`` their lattice values."""
+    """The indices of ``x``, and if ``with_values`` their lattice values, else None."""
     index = _count_thresholds(x, _thresholds(level, transform, x.dtype.type))
     if not with_values:
-        return (index,)
+        return index, None
     return index, _lattice(np.arange(level), level).take(index)
-
-
-def _by_level(array: np.ndarray, levels: FsqLevels, kernel, dtypes) -> tuple:
-    """``kernel(rows, level)``, returning arrays of ``dtypes``, per set of rows sharing a level.
-
-    One distinct level, the usual case, runs the kernel once on the whole
-    array: no gather or scatter of rows.
-    """
-    distinct = set(levels.levels)
-    if len(distinct) == 1:
-        return kernel(array, levels.levels[0])
-    lvl = np.asarray(levels.levels)
-    outs = tuple(np.empty(array.shape, dtype=dtype) for dtype in dtypes)
-    for level in distinct:
-        rows = lvl == level
-        for out, part in zip(outs, kernel(array[rows], level)):
-            out[rows] = part
-    return outs
 
 
 def _quantize(values, levels, transform, with_values: bool = True) -> tuple:
     levels = _as_levels(levels)
     values = _finite_rows(values, levels)
-    outs = _by_level(
-        values,
-        levels,
-        lambda rows, level: _snap(rows, level, transform, with_values),
-        (np.int64, np.float64)[: 1 + with_values],
-    )
-    return outs if with_values else (outs[0], None)
+    distinct = set(levels.levels)
+    if len(distinct) == 1:  # the usual case: no gather or scatter of rows
+        return _snap(values, levels.levels[0], transform, with_values)
+    # each level count has its own table: snap the rows sharing a level together
+    lvl = np.asarray(levels.levels)
+    index = np.empty(values.shape, dtype=np.int64)
+    lattice = np.empty(values.shape) if with_values else None
+    for level in distinct:
+        rows = lvl == level
+        index[rows], part = _snap(values[rows], level, transform, with_values)
+        if with_values:
+            lattice[rows] = part
+    return index, lattice
 
 
 def quantize_projected(
@@ -266,19 +258,13 @@ def fsq_quantize(
     return _quantize(z, levels, np.tanh, with_values)
 
 
-def _out_of_range(rows: np.ndarray, level: int) -> tuple:
-    """The mask of ``rows`` outside [0, level), for ``_by_level``."""
-    bad = rows < 0
-    if level <= np.iinfo(rows.dtype).max:  # else no digit of this dtype reaches it
-        bad |= rows >= level
-    return (bad,)
-
-
 def _checked_indices(indices, levels: FsqLevels) -> np.ndarray:
     """[D, T] integer ``indices`` with digit d in [0, L_d), else the first bad one by frame.
 
     Extremes compare with the levels as Python ints, so uint64 digits and
-    levels up to 2**64 stay exact; only a failure builds an element mask.
+    levels up to 2**64 stay exact.  Only a failure builds an element mask:
+    the negatives, and the digits >= L_d of each row whose max reached L_d,
+    so that L_d fits the dtype and that comparison is exact too.
     """
     indices = np.asarray(indices)
     _check_rows(indices, levels, "index array")
@@ -292,7 +278,10 @@ def _checked_indices(indices, levels: FsqLevels) -> np.ndarray:
         ends = zip(indices.min(axis=1).tolist(), indices.max(axis=1).tolist(), levels.levels)
     if all(int(lo) >= 0 and int(hi) < level for lo, hi, level in ends):
         return indices
-    (bad,) = _by_level(indices, levels, _out_of_range, (bool,))
+    bad = indices < 0
+    for d, (top, level) in enumerate(zip(indices.max(axis=1).tolist(), levels.levels)):
+        if top >= level:
+            bad[d] |= indices[d] >= level
     t, d = np.argwhere(bad.T)[0]
     raise ValidationError(
         f"index {indices[d, t]} out of range for dimension {d} "
@@ -304,7 +293,8 @@ def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
     """Map [D, T] integer lattice indices back to their lattice values."""
     levels = _as_levels(levels)
     indices = _checked_indices(indices, levels)
-    (values,) = _by_level(
-        indices, levels, lambda rows, level: (_lattice(rows, level),), (np.float64,)
-    )
-    return values
+    if len(set(levels.levels)) == 1:  # the usual case: a scalar, faster than a column
+        level = levels.levels[0]
+    else:  # each element meets the same correctly rounded level as a scalar would give it
+        level = np.array(levels.levels, dtype=np.float64)[:, None]
+    return _lattice(indices, level)

@@ -67,8 +67,8 @@ class RadixScheme:
     ``radices`` holds one radix per real dimension; the final group is padded
     with radix-1 dimensions up to a multiple of ``group_size``, which may not
     exceed the dimension count.  The derived padded layout, per-group
-    vocabularies and the packing table are computed once, at construction,
-    as is ``levels``: the radices as the ``FsqLevels`` that checked them.
+    vocabularies and the radix runs are computed once, at construction, as
+    is ``levels``: the radices as the ``FsqLevels`` that checked them.
     """
 
     radices: tuple[int, ...]
@@ -76,10 +76,6 @@ class RadixScheme:
     levels: FsqLevels = field(init=False, repr=False, compare=False)
     padded_radices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     group_products: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the padded radices modulo 2**64 as a read-only uint64 [groups, group_size]
-    # table: a radix of 2**64 is stored as 0, and its group's other radices are
-    # all 1, so its digit is the group's token
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
     # per digit position, the runs of groups that share a radix (_radix_runs)
     _runs: tuple = field(init=False, repr=False, compare=False)
     # some radix exceeds 2**63: unpacked digits need uint64
@@ -105,9 +101,6 @@ class RadixScheme:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "padded_radices", padded)
         object.__setattr__(self, "group_products", products)
-        table = np.array([r % MAX_GROUP_PRODUCT for r in padded], dtype=np.uint64)
-        table.flags.writeable = False
-        object.__setattr__(self, "_table", table.reshape(len(groups), g))
         object.__setattr__(self, "_runs", _radix_runs(groups))
         object.__setattr__(self, "_wide", max(radices) > _WRAP)
 
@@ -278,9 +271,12 @@ def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
         rem = quotient
     digits[:, 0] = rem  # in range: every token is below its group product
     if scheme._wide:
-        for g, pos in np.argwhere(scheme._table == 0):
-            digits[g] = 0
-            digits[g, pos] = tokens[:, g]
+        # a 2**64 radix: its group's other radices are all 1, so its digit is the token
+        for d, radix in enumerate(scheme.radices):
+            if radix == MAX_GROUP_PRODUCT:
+                g, pos = divmod(d, scheme.group_size)
+                digits[g] = 0
+                digits[g, pos] = tokens[:, g]
     else:  # every digit is below 2**63
         digits = digits.view(np.int64)
     return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
@@ -290,11 +286,12 @@ def token_rate(sample_rate: float, hop: int, groups: int) -> tuple[float, float]
     """Frame rate (Hz) and packed tokens per second for an encoder hop.
 
     The frame rate is sample_rate / hop; each frame emits one token per
-    group.
+    group.  Each of ``hop`` and ``sample_rate`` must be finite and >= 1.
     """
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
-    if sample_rate < 1:
-        raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
+    for name, value in (("hop", hop), ("sample_rate", sample_rate)):
+        if not -math.inf < value < math.inf:  # NaN too, which would break value equality
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     frame_rate = sample_rate / hop
     return frame_rate, frame_rate * groups

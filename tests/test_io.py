@@ -417,6 +417,13 @@ class TestConfig:
             parse_config(f"{key} = 0")
         assert str(info.value) == f"{key} must be >= 1, got 0"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["sample_rate", "hop"])
+    def test_non_finite_rate_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            CodecConfig(**{key: value})
+        assert str(info.value) == f"{key} must be finite, got {value}"
+
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         path = tmp_path / "binary.cfg"
         path.write_bytes(b"levels = [4]\n\xff\xfe\n")

@@ -50,10 +50,20 @@ PACK_SCHEMES = {
 UNPACK_SCHEMES = {**PACK_SCHEMES, "radix 2**63 + 1": ([2**63 + 1, 1, 7, 3], 2)}
 
 
+def radix_table(scheme):
+    """The padded radices modulo 2**64 as a uint64 [groups, group_size] table.
+
+    A radix of 2**64 is stored as 0; its group's other radices are all 1, so
+    its digit is the group's token.
+    """
+    table = np.array([r % 2**64 for r in scheme.padded_radices], dtype=np.uint64)
+    return table.reshape(scheme.group_count, scheme.group_size)
+
+
 def frame_major_pack(indices, scheme):
     """The former pack_frames: padded digits as [frames, groups, group_size]."""
     indices = np.asarray(indices)
-    radices = scheme._table
+    radices = radix_table(scheme)
     frames = indices.shape[0]
     padded = np.zeros((frames, *radices.shape), dtype=np.uint64)
     padded.reshape(frames, radices.size)[:, : scheme.dim] = indices
@@ -77,7 +87,7 @@ def padded_column_pack(indices, scheme):
     """The former pack_frames: a zero-filled digit-major copy, times a [groups, 1] radix column."""
     indices = np.asarray(indices)
     _checked_indices(indices.T, scheme.levels)
-    radices = scheme._table
+    radices = radix_table(scheme)
     frames = indices.shape[0]
     padded = np.zeros((radices.size, frames), dtype=np.uint64)
     padded[: scheme.dim] = indices.T
@@ -92,7 +102,8 @@ def padded_column_pack(indices, scheme):
 def column_divmod_unpack(tokens, scheme):
     """The former unpack_frames: divmod by a [groups, 1] column of radices per position."""
     tokens = _checked_tokens(tokens, scheme)
-    radices = np.maximum(scheme._table, np.uint64(1))
+    table = radix_table(scheme)
+    radices = np.maximum(table, np.uint64(1))
     digits = np.empty(
         (scheme.group_count, scheme.group_size, tokens.shape[0]),
         dtype=np.uint64 if scheme._wide else np.int64,
@@ -102,7 +113,7 @@ def column_divmod_unpack(tokens, scheme):
         rem, _ = np.divmod(rem, radices[:, pos, None], out=(None, digits[:, pos]))
     digits[:, 0] = rem
     if scheme._wide:
-        for g, pos in np.argwhere(scheme._table == 0):
+        for g, pos in np.argwhere(table == 0):
             digits[g] = 0
             digits[g, pos] = tokens[:, g]
     return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
@@ -303,11 +314,19 @@ class TestFsqOracles:
     @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
     def test_dequantize_matches_column_broadcast(self, dtype):
         fits = [level for level in LEVELS if level - 1 <= np.iinfo(dtype).max]
-        mixed = FsqLevels(tuple(fits))
-        for levels in [FsqLevels((level,) * 3) for level in fits] + [mixed]:
+        mixed = [
+            fits,
+            (8, 5, 5, 5) * 4,  # as the FSQ paper recommends
+            (3, 2**53 + 1, 6),  # float64 rounds the level
+            (5, 2**64, 1, 4),  # uint64 digits
+        ]
+        for levels in [FsqLevels((level,) * 3) for level in fits] + [*map(FsqLevels, mixed)]:
             for frames in (0, 1, 300):
                 idx = random_digits(levels.levels, frames, dtype, seed=frames).T
-                assert same(fsq_dequantize(idx, levels), column_dequantize(idx, levels))
+                expected = column_dequantize(idx, levels)
+                if expected.dtype == object:  # a 2**64 level: a column of Python ints
+                    expected = expected.astype(np.float64)
+                assert same(fsq_dequantize(idx, levels), expected)
 
     @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
     def test_out_of_range_names_the_same_first_index(self, dtype):
@@ -320,6 +339,16 @@ class TestFsqOracles:
                 idx[d, t] = np.iinfo(dtype).max if trial % 2 or np.iinfo(dtype).min == 0 else -1
             expected = outcome(lambda: column_dequantize(idx, levels))
             assert same(outcome(lambda: fsq_dequantize(idx, levels)), expected)
+        # a row whose max reaches its level, then another row bad at an earlier frame
+        idx = np.zeros((6, 12), dtype=dtype)
+        idx[4, 5] = 16
+        message = "index 16 out of range for dimension 4 (level 16) at frame 5"
+        assert outcome(lambda: fsq_dequantize(idx, levels)) == message
+        assert outcome(lambda: column_dequantize(idx, levels)) == message
+        idx[5, 2] = -1 if np.iinfo(dtype).min < 0 else np.iinfo(dtype).max
+        message = f"index {idx[5, 2]} out of range for dimension 5 (level 3) at frame 2"
+        assert outcome(lambda: fsq_dequantize(idx, levels)) == message
+        assert outcome(lambda: column_dequantize(idx, levels)) == message
 
     def test_first_out_of_range_under_mixed_levels(self):
         levels = FsqLevels((4, 1, 7, 2, 16, 3))

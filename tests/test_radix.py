@@ -334,6 +334,15 @@ class TestTokenRate:
         with pytest.raises(ValueError):
             token_rate(24000, 0, 19)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, value):
+        with pytest.raises(ValueError) as info:
+            token_rate(24000, value, 19)
+        assert str(info.value) == f"hop must be finite, got {value}"
+        with pytest.raises(ValueError) as info:
+            token_rate(value, 9600, 19)
+        assert str(info.value) == f"sample_rate must be finite, got {value}"
+
 
 INT_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64]
 NON_INT_DTYPES = [np.float64, np.float32, np.bool_]
