@@ -70,7 +70,7 @@ class CodecConfig:
     lambda_stft: float = DEFAULT_LAMBDA_STFT
     lambda_gan: float = DEFAULT_LAMBDA_GAN
     temperature: float = 1.0  # accepted for compatibility, unused
-    daam: DaamParams = DaamParams.init(4)
+    daam: DaamParams = DaamParams.init()
     mask: MaskConfig = MaskConfig()
     scheme: RadixScheme = field(init=False, repr=False, compare=False)
 

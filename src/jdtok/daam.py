@@ -16,12 +16,14 @@ Pipeline per signal x of length T:
   5. mixture via logsumexp          log G_t = logsumexp_k(log p_k) - log K
   6. gate                           G_t = exp(log G_t)
 
-The reference path runs in float64; pass ``dtype=np.float32`` for the
-production-precision path.  ``daam_gate_grad`` returns exact analytic
-derivatives of the gate with respect to the mean offsets, the log-scales,
-and the input (chain rule through the temporal statistics), so the gate can
-be trained or verified without an autodiff framework.  Both gradients come
-from one forward pass and three length-T factors a, b and dsigma:
+The scale epsilon eps = 1e-3 (``_EPS``) and the variance floor 1e-6
+(``_VAR_FLOOR``) are constants.  The reference path runs in float64; pass
+``dtype=np.float32`` for the production-precision path.  ``daam_gate_grad``
+returns exact analytic derivatives of the gate with respect to the mean
+offsets, the log-scales, and the input (chain rule through the temporal
+statistics), so the gate can be trained or verified without an autodiff
+framework.  Both gradients come from one forward pass and three length-T
+factors a, b and dsigma:
 
   - ``daam_gate_grad`` builds the dense [T, T] input Jacobian
     ``diag(a) + [b, -a/T] @ [dsigma; 1]`` with one rank-2 GEMM;
@@ -52,6 +54,9 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_EPS = 1e-3
+_VAR_FLOOR = 1e-6
+DEFAULT_GATE_STRENGTH = 0.05
 
 # Largest k that DaamParams.init builds: 64 times the default, and one [K, T]
 # float64 array of an hour-long stream (T = 9000 frames at 2.5 Hz) stays at 18 MB.
@@ -78,16 +83,15 @@ class DaamParams:
 
     ``init()`` gives the standard initialization: offsets at zero and
     log-scales at log(0.5), so every component starts as the same moderately
-    narrow Gaussian; ``gate_strength`` (alpha) defaults to 0.05 so the
-    residual modulation starts close to identity.  The two arrays are
-    read-only float64 copies, and params compare and hash by value.
+    narrow Gaussian; ``gate_strength`` (alpha) defaults to
+    ``DEFAULT_GATE_STRENGTH`` = 0.05 so the residual modulation starts close
+    to identity.  The two arrays are read-only float64 copies, and params
+    compare and hash by value.
     """
 
     mean_offsets: np.ndarray
     log_scales: np.ndarray
-    gate_strength: float = 0.05
-    eps: float = 1e-3
-    var_floor: float = 1e-6
+    gate_strength: float = DEFAULT_GATE_STRENGTH
 
     def __post_init__(self) -> None:
         for name in ("mean_offsets", "log_scales"):
@@ -107,17 +111,11 @@ class DaamParams:
             raise ValueError("need at least one mixture component")
         if not (np.all(np.isfinite(self.mean_offsets)) and np.all(np.isfinite(self.log_scales))):
             raise ValueError("parameters must be finite")
-        for name in ("gate_strength", "eps", "var_floor"):
-            if not math.isfinite(getattr(self, name)):  # nan <= 0 is false
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.var_floor <= 0:
-            raise ValueError(f"var_floor must be > 0, got {self.var_floor}")
+        if not math.isfinite(self.gate_strength):  # nan would break value equality
+            raise ValueError(f"gate_strength must be finite, got {self.gate_strength}")
 
     def _value(self) -> tuple:
-        arrays = (tuple(self.mean_offsets), tuple(self.log_scales))
-        return (*arrays, self.gate_strength, self.eps, self.var_floor)
+        return (tuple(self.mean_offsets), tuple(self.log_scales), self.gate_strength)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DaamParams):
@@ -133,13 +131,13 @@ class DaamParams:
 
     def scales(self) -> np.ndarray:
         """Positive per-component scales softplus(log_scales) + eps."""
-        return _softplus(self.log_scales) + self.eps
+        return _softplus(self.log_scales) + _EPS
 
     @classmethod
     def init(
         cls,
         k: int = 4,
-        gate_strength: float = 0.05,
+        gate_strength: float = DEFAULT_GATE_STRENGTH,
         mean_offsets=None,
         log_scales=None,
     ) -> "DaamParams":
@@ -180,9 +178,9 @@ def _gate_forward(x: np.ndarray, params: DaamParams, dtype):
     mu = x.mean(dtype=dtype)
     dev = x - mu
     var_raw = np.mean(dev**2, dtype=dtype)
-    sigma = np.sqrt(np.maximum(var_raw, dtype(params.var_floor)))
+    sigma = np.sqrt(np.maximum(var_raw, dtype(_VAR_FLOOR)))
 
-    denom = sigma * st + dtype(params.eps)
+    denom = sigma * st + dtype(_EPS)
     z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
     log_p = -dtype(0.5) * z * z - np.log(st)[:, None] - dtype(0.5 * _LOG_2PI)
     m = log_p.max(axis=0)
@@ -228,7 +226,7 @@ def _gate_factors(x: np.ndarray, params: DaamParams):
     )
 
     # d sigma / d x_s is zero while the variance clamp is active
-    d_sigma = dev / (t * sigma) * (var_raw > params.var_floor)
+    d_sigma = dev / (t * sigma) * (var_raw > _VAR_FLOOR)
     # d_offsets[k, t] = G_t w_kt z_kt / denom_k, so a and b are sums over it
     a = -d_offsets.sum(axis=0)
     b = (d_offsets * z * st[:, None]).sum(axis=0)
@@ -288,7 +286,7 @@ def daam_gate_vjp(
 def apply_gate(
     features: np.ndarray,
     gate: np.ndarray,
-    gate_strength: float = 0.05,
+    gate_strength: float = DEFAULT_GATE_STRENGTH,
     *,
     residual: bool = True,
 ) -> np.ndarray:
@@ -312,20 +310,12 @@ def apply_gate(
     return features * gate
 
 
-def gattn_modulate(
-    features: np.ndarray,
-    attn_proj: np.ndarray,
-    params: DaamParams,
-    *,
-    residual: bool = True,
-    dtype=np.float64,
-) -> np.ndarray:
+def gattn_modulate(features: np.ndarray, attn_proj: np.ndarray, params: DaamParams) -> np.ndarray:
     """Gate a [C, T] feature tensor from its 1-channel temporal projection.
 
     ``attn_proj`` is the caller's single-channel projection of ``features``
     over time (the projection weights live with the caller's network, not
-    here).  Computes the gate on the projection and applies it with
-    ``apply_gate``.
+    here).  Computes the float64 gate on the projection and applies it in
+    the residual form ``y = x * (1 + params.gate_strength * gate)``.
     """
-    gate = daam_gate(attn_proj, params, dtype=dtype)
-    return apply_gate(features, gate, params.gate_strength, residual=residual)
+    return apply_gate(features, daam_gate(attn_proj, params), params.gate_strength)

@@ -44,16 +44,14 @@ def ema_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
     return out
 
 
-def collapse_std(
-    pred: np.ndarray, threshold: float = COLLAPSE_THRESHOLD
-) -> tuple[float, bool]:
+def collapse_std(pred: np.ndarray) -> tuple[float, bool]:
     """Mean per-channel standard deviation of predictor outputs.
 
     ``pred`` is [batch, channels, time].  Each channel's standard deviation
     is taken over the flattened batch and time axes with population (1/N)
     normalization, then averaged over channels.  ``warn`` is True when the
-    mean falls strictly below ``threshold`` (the threshold itself does not
-    warn).
+    mean falls strictly below ``COLLAPSE_THRESHOLD`` (the threshold itself
+    does not warn).
     """
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim != 3:
@@ -63,4 +61,4 @@ def collapse_std(
         raise ValueError(f"need at least 2 samples per channel, got {b * t}")
     per_channel = pred.std(axis=(0, 2), ddof=0)
     mean_std = float(per_channel.mean())
-    return mean_std, mean_std < threshold
+    return mean_std, mean_std < COLLAPSE_THRESHOLD

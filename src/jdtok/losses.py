@@ -34,15 +34,18 @@ __all__ = [
 
 DEFAULT_LAMBDA_STFT = 2.0
 DEFAULT_LAMBDA_GAN = 0.1
+MAGNITUDE_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Multi-resolution STFT settings: five FFT sizes with 4x overlap."""
+    """Multi-resolution STFT settings: five FFT sizes with 4x overlap.
+
+    Magnitudes are floored at ``MAGNITUDE_FLOOR`` before the log.
+    """
 
     fft_sizes: tuple[int, ...] = (2048, 1024, 512, 256, 128)
     hop_sizes: tuple[int, ...] = (512, 256, 128, 64, 32)
-    magnitude_floor: float = 1e-7
 
     def __post_init__(self) -> None:
         if len(self.fft_sizes) != len(self.hop_sizes):
@@ -51,8 +54,6 @@ class StftConfig:
             raise ValueError("fft and hop sizes must be positive")
         if any(h > n for n, h in zip(self.fft_sizes, self.hop_sizes)):
             raise ValueError("hop size must not exceed fft size")
-        if not (np.isfinite(self.magnitude_floor) and self.magnitude_floor > 0):
-            raise ValueError(f"magnitude_floor must be finite and > 0, got {self.magnitude_floor}")
 
 
 def jepa_masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> float:
@@ -144,9 +145,9 @@ def _convergence(diff_energy: float, ref_energy: float) -> float:
     return float(np.sqrt(diff_energy / ref_energy))
 
 
-def _log_distance(s_ref: np.ndarray, s_hat: np.ndarray, floor: float) -> float:
-    """Sum of |log(max(s_hat, floor) / max(s_ref, floor))| over all elements."""
-    ratio = np.maximum(s_hat, floor) / np.maximum(s_ref, floor)
+def _log_distance(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
+    """Sum of |log(max(s_hat, f) / max(s_ref, f))| over all elements, f = MAGNITUDE_FLOOR."""
+    ratio = np.maximum(s_hat, MAGNITUDE_FLOOR) / np.maximum(s_ref, MAGNITUDE_FLOOR)
     return np.abs(np.log(ratio, out=ratio), out=ratio).sum()
 
 
@@ -161,13 +162,13 @@ def spectral_convergence(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
     return _convergence(diff @ diff, ref @ ref)
 
 
-def log_magnitude_l1(s_ref: np.ndarray, s_hat: np.ndarray, floor: float = 1e-7) -> float:
-    """Mean absolute log-magnitude difference, floored before the log."""
+def log_magnitude_l1(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
+    """Mean absolute log-magnitude difference, floored at ``MAGNITUDE_FLOOR`` before the log."""
     s_ref = np.asarray(s_ref, dtype=np.float64)
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_ref.shape != s_hat.shape:
         raise ValueError(f"shape mismatch: {s_ref.shape} vs {s_hat.shape}")
-    return float(_log_distance(s_ref, s_hat, floor) / s_ref.size)
+    return float(_log_distance(s_ref, s_hat) / s_ref.size)
 
 
 def _map_in_runs(fn, items: list) -> list:
@@ -240,7 +241,7 @@ def multi_res_stft(
         s_hat, s_ref = np.abs(np.fft.rfft(block * win))
         diff = (s_hat - s_ref).ravel()
         ref = s_ref.ravel()
-        return diff @ diff, ref @ ref, _log_distance(s_ref, s_hat, cfg.magnitude_floor)
+        return diff @ diff, ref @ ref, _log_distance(s_ref, s_hat)
 
     terms = iter(_map_in_runs(block_terms, blocks))
     per_resolution: list[tuple[float, float]] = []

@@ -205,13 +205,7 @@ def generate_block_mask(
     return mask
 
 
-def generate_block_masks(
-    batch: int,
-    num_frames: int,
-    cfg: MaskConfig,
-    *,
-    count_overlaps: bool = False,
-) -> np.ndarray:
+def generate_block_masks(batch: int, num_frames: int, cfg: MaskConfig) -> np.ndarray:
     """Generate a (batch, T) stack of masks, one independent substream per row."""
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
@@ -221,7 +215,7 @@ def generate_block_masks(
             num_frames,
             cfg,
             _WordStream(np.random.Generator(np.random.PCG64(child))),
-            count_overlaps,
+            count_overlaps=False,
         )
         for child in children
     ]

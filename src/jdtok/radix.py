@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +85,10 @@ class RadixScheme:
     def __post_init__(self) -> None:
         levels = FsqLevels(self.radices)
         radices = levels.levels
-        g = self.group_size
+        try:  # 7.0 is rejected, as FsqLevels rejects a level of 4.0
+            g = operator.index(self.group_size)
+        except TypeError as exc:
+            raise ValueError(f"group_size must be an integer, got {self.group_size}") from exc
         if g < 1:
             raise ValueError(f"group_size must be >= 1, got {g}")
         if g > len(radices):
@@ -98,6 +102,7 @@ class RadixScheme:
                     f"group {i} product {prod} exceeds 2**64; use a smaller group size"
                 )
         object.__setattr__(self, "radices", radices)
+        object.__setattr__(self, "group_size", g)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "padded_radices", padded)
         object.__setattr__(self, "group_products", products)
@@ -136,7 +141,7 @@ def _radix_runs(groups: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(runs)
 
 
-def build_scheme(levels, group_size: int = 7) -> RadixScheme:
+def build_scheme(levels, group_size: int) -> RadixScheme:
     """Derive the packing scheme from quantizer levels (radix = level count)."""
     radices = levels.levels if isinstance(levels, FsqLevels) else levels
     return RadixScheme(radices=radices, group_size=group_size)
@@ -286,11 +291,17 @@ def token_rate(sample_rate: float, hop: int, groups: int) -> tuple[float, float]
     """Frame rate (Hz) and packed tokens per second for an encoder hop.
 
     The frame rate is sample_rate / hop; each frame emits one token per
-    group.  Each of ``hop`` and ``sample_rate`` must be finite and >= 1.
+    group.  Each of ``hop`` and ``sample_rate`` must be finite and >= 1, and
+    ``hop``, a sample count, an integer.
     """
     for name, value in (("hop", hop), ("sample_rate", sample_rate)):
         if not -math.inf < value < math.inf:  # NaN too, which would break value equality
             raise ValueError(f"{name} must be finite, got {value}")
+    try:  # 2.5 and 9600.0 are rejected, as FsqLevels rejects a level of 4.0
+        operator.index(hop)
+    except TypeError as exc:
+        raise ValueError(f"hop must be an integer, got {hop}") from exc
+    for name, value in (("hop", hop), ("sample_rate", sample_rate)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     frame_rate = sample_rate / hop

@@ -67,9 +67,9 @@ def temporal_stats(x, var_floor=1e-6):
 
 def gate_from_stats(x, params):
     """The mixture density at each timestep, standardized by ``temporal_stats``."""
-    mean, var = temporal_stats(x, params.var_floor)
+    mean, var = temporal_stats(x)
     st = params.scales()
-    denom = np.sqrt(var) * st + params.eps
+    denom = np.sqrt(var) * st + 1e-3
     z = (x[None, :] - (mean + params.mean_offsets)[:, None]) / denom[:, None]
     return np.mean(np.exp(-0.5 * z * z) / (SQRT_2PI * st[:, None]), axis=0)
 
@@ -82,10 +82,10 @@ def oracle_factors(x, params):
     """
     x = np.asarray(x, dtype=np.float64)
     delta, nu, t = params.mean_offsets, params.log_scales, x.size
-    mu, var = temporal_stats(x, params.var_floor)
+    mu, var = temporal_stats(x)
     sigma = np.sqrt(var)
-    st = np.logaddexp(0.0, nu) + params.eps
-    denom = sigma * st + params.eps
+    st = np.logaddexp(0.0, nu) + 1e-3
+    denom = sigma * st + 1e-3
     z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
     log_p = -0.5 * z * z - np.log(st)[:, None] - 0.5 * np.log(2.0 * np.pi)
     m = log_p.max(axis=0)
@@ -100,7 +100,7 @@ def oracle_factors(x, params):
         * sig_nu[:, None]
     )
     # the floored variance exceeds the floor only while the clamp is inactive
-    if var > params.var_floor:
+    if var > 1e-6:
         d_sigma = (x - mu) / (t * sigma)
     else:
         d_sigma = np.zeros(t)
@@ -429,8 +429,6 @@ class TestParams:
             dict(mean_offsets=np.zeros(2), log_scales=np.zeros(3)),
             dict(mean_offsets=np.zeros(0), log_scales=np.zeros(0)),
             dict(mean_offsets=np.array([np.nan]), log_scales=np.zeros(1)),
-            dict(mean_offsets=np.zeros(1), log_scales=np.zeros(1), eps=0.0),
-            dict(mean_offsets=np.zeros(1), log_scales=np.zeros(1), var_floor=-1.0),
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -438,9 +436,8 @@ class TestParams:
             DaamParams(**kwargs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["gate_strength", "eps", "var_floor"])
+    @pytest.mark.parametrize("name", ["gate_strength"])
     def test_non_finite_scalar_rejected(self, name, value):
-        # nan <= 0 is false, so the positivity checks alone let eps = nan through
         with pytest.raises(ValueError) as info:
             DaamParams(np.zeros(2), np.zeros(2), **{name: value})
         assert str(info.value) == f"{name} must be finite, got {value}"
@@ -494,8 +491,6 @@ class TestParams:
             DaamParams.init(2, mean_offsets=[0.1, -0.2], log_scales=[0.0, 0.5]),
             DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.4]),
             DaamParams.init(2, gate_strength=0.1, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5]),
-            DaamParams(p.mean_offsets, p.log_scales, p.gate_strength, eps=2e-3),
-            DaamParams(p.mean_offsets, p.log_scales, p.gate_strength, var_floor=1e-5),
             DaamParams.init(3),
         ):
             assert other != p

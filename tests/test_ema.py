@@ -85,15 +85,11 @@ class TestCollapseStd:
         assert 0.97 <= mean_std <= 1.03
         assert warn is False
 
-    def test_threshold_zero_never_warns(self):
-        _, warn = collapse_std(np.zeros((2, 2, 4)), threshold=0.0)
-        assert warn is False
-
     def test_threshold_comparison_is_strict(self):
         # a signal with mean std exactly at the threshold must not warn
         pred = np.zeros((1, 1, 2))
         pred[0, 0] = [0.0, 0.02]  # population std = 0.01
-        mean_std, warn = collapse_std(pred, threshold=0.01)
+        mean_std, warn = collapse_std(pred)
         assert mean_std == 0.01
         assert warn is False
 

@@ -424,6 +424,19 @@ class TestConfig:
             CodecConfig(**{key: value})
         assert str(info.value) == f"{key} must be finite, got {value}"
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(hop=2.5), "hop must be an integer, got 2.5"),
+            (dict(hop=9600.0), "hop must be an integer, got 9600.0"),
+            (dict(group_size=7.0), "group_size must be an integer, got 7.0"),
+        ],
+    )
+    def test_fractional_hop_or_group_size_is_a_config_error(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            CodecConfig(**kwargs)
+        assert str(info.value) == message
+
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         path = tmp_path / "binary.cfg"
         path.write_bytes(b"levels = [4]\n\xff\xfe\n")

@@ -161,6 +161,18 @@ class TestScheme:
         with pytest.raises(ValueError):
             RadixScheme(radices=(4, 0), group_size=2)
 
+    @pytest.mark.parametrize("group_size", [7.0, 2.5])
+    def test_fractional_group_size_rejected(self, group_size):
+        with pytest.raises(ValueError) as info:
+            RadixScheme(radices=(4,) * 14, group_size=group_size)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"group_size must be an integer, got {group_size}"
+
+    def test_group_size_is_stored_as_a_python_int(self):
+        scheme = RadixScheme(radices=(4,) * 14, group_size=np.int64(7))
+        assert type(scheme.group_size) is int
+        assert scheme == build_scheme([4] * 14, 7)
+
     def test_group_larger_than_dimensions_rejected(self):
         with pytest.raises(ValueError, match="exceeds the 2 dimensions"):
             RadixScheme(radices=(4, 4), group_size=3)
@@ -342,6 +354,16 @@ class TestTokenRate:
         with pytest.raises(ValueError) as info:
             token_rate(value, 9600, 19)
         assert str(info.value) == f"sample_rate must be finite, got {value}"
+
+    @pytest.mark.parametrize("value", [2.5, 9600.0, 0.5, np.float64(9600)])
+    def test_fractional_hop_rejected(self, value):
+        # a sample count: an integral float is rejected too, before the >= 1 bound
+        with pytest.raises(ValueError) as info:
+            token_rate(24000, value, 19)
+        assert str(info.value) == f"hop must be an integer, got {value}"
+
+    def test_numpy_integer_hop_accepted(self):
+        assert token_rate(24000, np.int64(9600), 19) == (2.5, 47.5)
 
 
 INT_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64]
