@@ -21,7 +21,7 @@ def main() -> None:
     args = parser.parse_args()
 
     levels = FsqLevels((args.level,) * args.dims)
-    frame_rate = args.sample_rate / args.hop
+    frame_rate, _ = token_rate(args.sample_rate, args.hop, groups=1)
     print(f"frame rate: {frame_rate:g} Hz "
           f"({args.sample_rate} Hz / hop {args.hop})\n")
     print(f"{'G':>3} {'groups':>7} {'pads':>5} {'tokens/s':>9} "

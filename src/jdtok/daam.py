@@ -4,8 +4,8 @@ The gate scores every timestep of a 1-channel signal by the density of a
 K-component Gaussian mixture evaluated on the signal's own standardized
 deviations.  Timesteps near the bulk of the signal's distribution get gate
 values near the mixture's peak density; statistical outliers get small ones.
-The gate then modulates a full feature tensor multiplicatively, either as a
-pure product or as the residual form ``y = x * (1 + alpha * gate)``.
+The gate then modulates a full feature tensor in the residual form
+``y = x * (1 + alpha * gate)``.
 
 Pipeline per signal x of length T:
 
@@ -17,12 +17,11 @@ Pipeline per signal x of length T:
   6. gate                           G_t = exp(log G_t)
 
 The scale epsilon eps = 1e-3 (``_EPS``) and the variance floor 1e-6
-(``_VAR_FLOOR``) are constants.  The reference path runs in float64; pass
-``dtype=np.float32`` for the production-precision path.  ``daam_gate_grad``
-returns exact analytic derivatives of the gate with respect to the mean
-offsets, the log-scales, and the input (chain rule through the temporal
-statistics), so the gate can be trained or verified without an autodiff
-framework.  Both gradients come from one forward pass and three length-T
+(``_VAR_FLOOR``) are constants, and every step runs in float64.
+``daam_gate_grad`` returns exact analytic derivatives of the gate with
+respect to the mean offsets, the log-scales, and the input (chain rule
+through the temporal statistics), so the gate can be trained or verified
+without an autodiff framework.  Both gradients come from one forward pass and three length-T
 factors a, b and dsigma:
 
   - ``daam_gate_grad`` builds the dense [T, T] input Jacobian
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 
 __all__ = [
     "DaamParams",
@@ -141,12 +140,13 @@ class DaamParams:
         mean_offsets=None,
         log_scales=None,
     ) -> "DaamParams":
-        """Default initialization with ``k`` components, 1 <= k <= MAX_COMPONENTS.
+        """Default initialization with ``k`` components, an integer in [1, MAX_COMPONENTS].
 
         ``mean_offsets`` and ``log_scales``, when given, replace the default
         values and must hold ``k`` entries each.  Both checks come before any
         array is allocated, so a hostile ``k`` costs nothing.
         """
+        k = as_integer("k", k)
         if not 1 <= k <= MAX_COMPONENTS:
             raise ValueError(f"k must be in [1, {MAX_COMPONENTS}], got {k}")
         for name, given in (("mean_offsets", mean_offsets), ("log_scales", log_scales)):
@@ -168,37 +168,35 @@ def _check_signal(x: np.ndarray) -> None:
         raise ValidationError("input contains non-finite values")
 
 
-def _gate_forward(x: np.ndarray, params: DaamParams, dtype):
-    """The gate in ``dtype``, with the intermediates its gradient reuses."""
-    x = np.asarray(x, dtype=dtype)
+def _gate_forward(x: np.ndarray, params: DaamParams):
+    """The float64 gate, with the intermediates its gradient reuses."""
+    x = np.asarray(x, dtype=np.float64)
     _check_signal(x)
-    delta = params.mean_offsets.astype(dtype)
-    st = params.scales().astype(dtype)
+    st = params.scales()
 
-    mu = x.mean(dtype=dtype)
+    mu = x.mean()
     dev = x - mu
-    var_raw = np.mean(dev**2, dtype=dtype)
-    sigma = np.sqrt(np.maximum(var_raw, dtype(_VAR_FLOOR)))
+    var_raw = np.mean(dev**2)
+    sigma = np.sqrt(np.maximum(var_raw, _VAR_FLOOR))
 
-    denom = sigma * st + dtype(_EPS)
-    z = (x[None, :] - (mu + delta)[:, None]) / denom[:, None]
-    log_p = -dtype(0.5) * z * z - np.log(st)[:, None] - dtype(0.5 * _LOG_2PI)
+    denom = sigma * st + _EPS
+    z = (x[None, :] - (mu + params.mean_offsets)[:, None]) / denom[:, None]
+    log_p = -0.5 * z * z - np.log(st)[:, None] - 0.5 * _LOG_2PI
     m = log_p.max(axis=0)
     sum_exp = np.exp(log_p - m[None, :]).sum(axis=0)
     gate = np.exp(m + np.log(sum_exp / params.num_components))
     return gate, log_p, m + np.log(sum_exp), z, denom, st, sigma, dev, var_raw
 
 
-def daam_gate(x: np.ndarray, params: DaamParams, dtype=np.float64) -> np.ndarray:
-    """Evaluate the mixture-density gate on a 1-D signal.
+def daam_gate(x: np.ndarray, params: DaamParams) -> np.ndarray:
+    """Evaluate the mixture-density gate on a 1-D signal, in float64.
 
-    Returns an array of length T with the gate value at each timestep.  All
-    intermediates are computed in ``dtype`` (float64 reference path by
-    default; float32 is the production floor).  The logsumexp runs with max
+    Returns an array of length T with the gate value at each timestep.  The
+    logsumexp runs with max
     subtraction and folds the 1/K mixture weight inside the log, so a mixture
     of K identical components reproduces the K=1 gate bit-for-bit.
     """
-    return _gate_forward(x, params, dtype)[0]
+    return _gate_forward(x, params)[0]
 
 
 def _gate_factors(x: np.ndarray, params: DaamParams):
@@ -208,9 +206,7 @@ def _gate_factors(x: np.ndarray, params: DaamParams):
     Jacobians in full ([K, T] each) and the three length-T factors of the
     input Jacobian ``diag(a) - (a / T) 1^T + b d_sigma^T``.
     """
-    gate, log_p, log_norm, z, denom, st, sigma, dev, var_raw = _gate_forward(
-        x, params, np.float64
-    )
+    gate, log_p, log_norm, z, denom, st, sigma, dev, var_raw = _gate_forward(x, params)
     t = dev.size
     # responsibilities: softmax over components at each timestep
     w = np.exp(log_p - log_norm[None, :])
@@ -287,14 +283,11 @@ def apply_gate(
     features: np.ndarray,
     gate: np.ndarray,
     gate_strength: float = DEFAULT_GATE_STRENGTH,
-    *,
-    residual: bool = True,
 ) -> np.ndarray:
-    """Modulate a feature tensor by a per-timestep gate.
+    """Modulate a feature tensor by a per-timestep gate: ``y = x * (1 + alpha * gate)``.
 
-    ``residual=True`` applies ``y = x * (1 + alpha * gate)``; ``residual=False``
-    applies the pure product ``y = x * gate``.  The gate broadcasts over all
-    leading (channel) axes; the trailing axis of ``features`` is time.
+    The gate broadcasts over all leading (channel) axes; the trailing axis of
+    ``features`` is time.
     """
     features = np.asarray(features)
     gate = np.asarray(gate)
@@ -305,9 +298,7 @@ def apply_gate(
             f"time axis mismatch: features have {features.shape[-1]} frames, "
             f"gate has {gate.shape[0]}"
         )
-    if residual:
-        return features * (1.0 + gate_strength * gate)
-    return features * gate
+    return features * (1.0 + gate_strength * gate)
 
 
 def gattn_modulate(features: np.ndarray, attn_proj: np.ndarray, params: DaamParams) -> np.ndarray:

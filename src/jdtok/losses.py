@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 
 __all__ = [
     "StftConfig",
@@ -48,6 +48,11 @@ class StftConfig:
     hop_sizes: tuple[int, ...] = (512, 256, 128, 64, 32)
 
     def __post_init__(self) -> None:
+        # each size a Python int: 256.0 is rejected, not truncated
+        fft_sizes = tuple(as_integer("fft size", n) for n in self.fft_sizes)
+        hop_sizes = tuple(as_integer("hop size", h) for h in self.hop_sizes)
+        object.__setattr__(self, "fft_sizes", fft_sizes)
+        object.__setattr__(self, "hop_sizes", hop_sizes)
         if len(self.fft_sizes) != len(self.hop_sizes):
             raise ValueError("fft_sizes and hop_sizes must have equal length")
         if any(n < 1 for n in self.fft_sizes) or any(h < 1 for h in self.hop_sizes):

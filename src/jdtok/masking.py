@@ -16,22 +16,19 @@ not drawn by two scalar ``Generator.integers`` calls: the generator's 32-bit
 words are drawn in bulk (``integers(0, 2**32, size=n, dtype=np.uint32)``
 returns exactly the words that scalar draws consume) and each is mapped to
 its range by numpy's own rule (``_WordStream.integer``).  Masks are therefore
-bit-identical to those of the one-call-per-draw loop of earlier versions.  A
-caller-supplied generator ends in the state those scalar calls would leave:
-it is rewound and advanced by exactly the words the mask used.  The rule
-covers ranges of at most 2**32 - 1 values, so ``num_frames`` must be below
-2**32 (``ConfigError``, exit 2 on the CLI).
+bit-identical to those of the one-call-per-draw loop of earlier versions.
+The rule covers ranges of at most 2**32 - 1 values, so ``num_frames`` must
+be below 2**32 (``ConfigError``, exit 2 on the CLI).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_integer
 
 __all__ = [
     "MaskConfig",
@@ -62,6 +59,10 @@ class MaskConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("span_min", "span_max", "seed"):  # 2.0 too: each feeds integer draws
+            value = getattr(self, name)
+            if name != "span_max" or value is not None:  # None: the adaptive span_max
+                object.__setattr__(self, name, as_integer(name, value, ConfigError))
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise ConfigError(f"mask_ratio must be in [0, 1], got {self.mask_ratio}")
         if self.span_min < 1:
@@ -94,18 +95,11 @@ class _WordStream:
         self._rng = rng
         self._words = iter(())
         self._chunk = 16
-        self.drawn = 0
-
-    @property
-    def used(self) -> int:
-        """Words consumed so far; the rest of the last chunk is spare."""
-        return self.drawn - operator.length_hint(self._words)
 
     def _refill(self) -> int:
         self._words = iter(
             self._rng.integers(0, _WORD, size=self._chunk, dtype=np.uint32).tolist()
         )
-        self.drawn += self._chunk
         self._chunk *= 2
         return next(self._words)
 
@@ -132,6 +126,7 @@ class _WordStream:
 def _block_mask(
     num_frames: int, cfg: MaskConfig, words: _WordStream, count_overlaps: bool
 ) -> np.ndarray:
+    num_frames = as_integer("num_frames", num_frames, ConfigError)
     if not 1 <= num_frames < _WORD:
         raise ConfigError(f"num_frames must be in [1, 2**32), got {num_frames}")
     target = math.floor(cfg.mask_ratio * num_frames)
@@ -160,11 +155,7 @@ def _block_mask(
 
 
 def generate_block_mask(
-    num_frames: int,
-    cfg: MaskConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    count_overlaps: bool = False,
+    num_frames: int, cfg: MaskConfig, *, count_overlaps: bool = False
 ) -> np.ndarray:
     """Sample one block mask of length ``num_frames``.
 
@@ -184,29 +175,19 @@ def generate_block_mask(
 
     Args:
         num_frames: sequence length T, 1 <= T < 2**32.
-        cfg: mask distribution parameters.
-        rng: optional generator; defaults to ``PCG64(cfg.seed)``.  It is left
-            in the state that drawing each span's length and start by
-            ``rng.integers`` leaves.
+        cfg: mask distribution parameters; draws come from ``PCG64(cfg.seed)``.
         count_overlaps: use the legacy span-length counter.
 
     Returns:
         uint8 array of shape (T,) with 1 = visible, 0 = masked.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        return _block_mask(num_frames, cfg, _WordStream(rng), count_overlaps)
-    state = rng.bit_generator.state
-    words = _WordStream(rng)
-    mask = _block_mask(num_frames, cfg, words, count_overlaps)
-    # rewind, then draw only the words the mask used
-    rng.bit_generator.state = state
-    rng.integers(0, _WORD, size=words.used, dtype=np.uint32)
-    return mask
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    return _block_mask(num_frames, cfg, _WordStream(rng), count_overlaps)
 
 
 def generate_block_masks(batch: int, num_frames: int, cfg: MaskConfig) -> np.ndarray:
     """Generate a (batch, T) stack of masks, one independent substream per row."""
+    batch = as_integer("batch", batch, ConfigError)
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
     children = np.random.SeedSequence(cfg.seed).spawn(batch)

@@ -37,12 +37,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 from .fsq import FsqLevels, _checked_indices
 
 __all__ = [
@@ -85,10 +84,7 @@ class RadixScheme:
     def __post_init__(self) -> None:
         levels = FsqLevels(self.radices)
         radices = levels.levels
-        try:  # 7.0 is rejected, as FsqLevels rejects a level of 4.0
-            g = operator.index(self.group_size)
-        except TypeError as exc:
-            raise ValueError(f"group_size must be an integer, got {self.group_size}") from exc
+        g = as_integer("group_size", self.group_size)  # 7.0 too, as FsqLevels rejects 4.0
         if g < 1:
             raise ValueError(f"group_size must be >= 1, got {g}")
         if g > len(radices):
@@ -297,10 +293,7 @@ def token_rate(sample_rate: float, hop: int, groups: int) -> tuple[float, float]
     for name, value in (("hop", hop), ("sample_rate", sample_rate)):
         if not -math.inf < value < math.inf:  # NaN too, which would break value equality
             raise ValueError(f"{name} must be finite, got {value}")
-    try:  # 2.5 and 9600.0 are rejected, as FsqLevels rejects a level of 4.0
-        operator.index(hop)
-    except TypeError as exc:
-        raise ValueError(f"hop must be an integer, got {hop}") from exc
+    as_integer("hop", hop)  # 9600.0 too, as FsqLevels rejects a level of 4.0
     for name, value in (("hop", hop), ("sample_rate", sample_rate)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")

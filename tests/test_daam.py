@@ -223,15 +223,6 @@ class TestDaamGate:
         gate = daam_gate(x, params)
         assert np.all(np.isfinite(gate))
 
-    def test_float32_path_close_to_reference(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(50)
-        params = DaamParams.init(4)
-        ref = daam_gate(x, params)
-        fast = daam_gate(x, params, dtype=np.float32)
-        assert fast.dtype == np.float32
-        assert np.max(np.abs(fast.astype(np.float64) - ref) / ref) < 1e-5
-
     @pytest.mark.parametrize("bad", [np.array([]), np.array([1.0, np.nan]), np.array([np.inf])])
     def test_bad_inputs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -242,12 +233,11 @@ class TestDaamGate:
         "call",
         [
             lambda x, p: daam_gate(x, p),
-            lambda x, p: daam_gate(x, p, dtype=np.float32),
             lambda x, p: daam_gate_grad(x, p),
             lambda x, p: daam_gate_vjp(x, p, np.ones(x.size)),
             lambda x, p: gattn_modulate(np.ones((3, x.size)), x, p),
         ],
-        ids=["gate", "gate_float32", "grad", "vjp", "gattn_modulate"],
+        ids=["gate", "grad", "vjp", "gattn_modulate"],
     )
     def test_non_finite_input_is_a_validation_error(self, call, value):
         # the same rule as fsq and the STFT loss, with the same error type
@@ -398,11 +388,6 @@ class TestModulation:
         y = apply_gate(x, np.ones(7), gate_strength=0.05)
         np.testing.assert_allclose(y, 1.05 * x, rtol=1e-15)
 
-    def test_pure_form(self):
-        x = np.random.default_rng(10).standard_normal((2, 5))
-        gate = np.linspace(0.5, 1.5, 5)
-        np.testing.assert_array_equal(apply_gate(x, gate, residual=False), x * gate)
-
     def test_constant_projection_composition(self):
         x = np.full((1, 10), 3.0)
         y = gattn_modulate(x, x[0], DaamParams.init(4))
@@ -453,6 +438,16 @@ class TestParams:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 16
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2", None])
+    def test_init_k_must_be_an_integer(self, k):
+        # a float fails here, not later inside np.zeros
+        with pytest.raises(ValueError) as info:
+            DaamParams.init(k)
+        assert str(info.value) == f"k must be an integer, got {k}"
+
+    def test_init_accepts_numpy_integers(self):
+        assert DaamParams.init(np.int64(3)) == DaamParams.init(3)
 
     def test_init_with_given_values(self):
         p = DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5])

@@ -423,6 +423,26 @@ class TestStftConfig:
         with pytest.raises(ValueError):
             StftConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "fft_sizes, hop_sizes, message",
+        [
+            ((256.0,), (64,), "fft size must be an integer, got 256.0"),
+            ((256,), (64.0,), "hop size must be an integer, got 64.0"),
+            ((256, 128), (64, 32.5), "hop size must be an integer, got 32.5"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, fft_sizes, hop_sizes, message):
+        # rejected at construction, not as a TypeError inside multi_res_stft
+        with pytest.raises(ValueError) as info:
+            StftConfig(fft_sizes, hop_sizes)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_sizes_are_stored_as_python_int_tuples(self):
+        cfg = StftConfig([np.int64(256), 128], np.array([64, 32]))
+        assert cfg == StftConfig((256, 128), (64, 32))
+        assert all(type(n) is int for n in cfg.fft_sizes + cfg.hop_sizes)
+
 
 class TestGanLosses:
     def test_perfect_fool_zeroes_generator(self):
