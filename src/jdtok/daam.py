@@ -192,9 +192,9 @@ def daam_gate(x: np.ndarray, params: DaamParams) -> np.ndarray:
     """Evaluate the mixture-density gate on a 1-D signal, in float64.
 
     Returns an array of length T with the gate value at each timestep.  The
-    logsumexp runs with max
-    subtraction and folds the 1/K mixture weight inside the log, so a mixture
-    of K identical components reproduces the K=1 gate bit-for-bit.
+    logsumexp runs with max subtraction and folds the 1/K mixture weight
+    inside the log, so a mixture of K identical components reproduces the
+    K=1 gate bit-for-bit.
     """
     return _gate_forward(x, params)[0]
 

@@ -223,6 +223,15 @@ class TestDaamGate:
         gate = daam_gate(x, params)
         assert np.all(np.isfinite(gate))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
+    def test_any_input_dtype_is_gated_in_float64(self, dtype):
+        # one path: the input is cast once and the gate is float64
+        x = (np.random.default_rng(3).standard_normal(50) * 8).astype(dtype)
+        params = DaamParams.init(4)
+        gate = daam_gate(x, params)
+        assert gate.dtype == np.float64
+        np.testing.assert_array_equal(gate, daam_gate(x.astype(np.float64), params))
+
     @pytest.mark.parametrize("bad", [np.array([]), np.array([1.0, np.nan]), np.array([np.inf])])
     def test_bad_inputs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -387,6 +396,12 @@ class TestModulation:
         x = np.random.default_rng(9).standard_normal((3, 7))
         y = apply_gate(x, np.ones(7), gate_strength=0.05)
         np.testing.assert_allclose(y, 1.05 * x, rtol=1e-15)
+
+    def test_varying_gate_is_the_residual_form(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 5))
+        gate = np.linspace(0.5, 1.5, 5)
+        np.testing.assert_array_equal(apply_gate(x, gate, 0.3), x * (1.0 + 0.3 * gate))
 
     def test_constant_projection_composition(self):
         x = np.full((1, 10), 3.0)

@@ -237,6 +237,28 @@ class TestBulkDraws:
         ]
         np.testing.assert_array_equal(generate_block_masks(4, 1024, cfg), np.stack(want))
 
+    @pytest.mark.parametrize("seed", [0, 77, 2**63 + 5])
+    @pytest.mark.parametrize("count_overlaps", [False, True])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.95])
+    def test_mask_comes_from_the_seeded_pcg64(self, seed, count_overlaps, ratio):
+        cfg = MaskConfig(mask_ratio=ratio, span_min=2, span_max=40, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        np.testing.assert_array_equal(
+            generate_block_mask(3000, cfg, count_overlaps=count_overlaps),
+            reference_block_mask(3000, cfg, rng, count_overlaps=count_overlaps),
+        )
+
+    @pytest.mark.parametrize("span_max", [8, None])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.95])
+    def test_batch_rows_come_from_the_spawned_children(self, span_max, ratio):
+        cfg = MaskConfig(mask_ratio=ratio, span_min=2, span_max=span_max, seed=9)
+        children = np.random.SeedSequence(9).spawn(3)
+        want = [
+            reference_block_mask(1000, cfg, np.random.Generator(np.random.PCG64(c)))
+            for c in children
+        ]
+        np.testing.assert_array_equal(generate_block_masks(3, 1000, cfg), np.stack(want))
+
     @staticmethod
     def check_integers(seed, lo, hi, draws):
         stream_rng = np.random.Generator(np.random.PCG64(seed))
