@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jdtok import masking
 from jdtok.errors import ConfigError
 from jdtok.masking import (
     MaskConfig,
+    _bounded,
+    _spans,
     _WordStream,
     generate_block_mask,
     generate_block_masks,
@@ -330,6 +333,199 @@ class TestBulkDraws:
         mask = generate_block_mask(64, MaskConfig(seed=3))
         mask[:] = 1
         assert np.all(mask == 1)
+
+
+class FixedWords:
+    """Stands in for a Generator: its first chunk holds the given words, then
+    every chunk is 2**32 - 1, a word that no range of at most 2**31 values rejects."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def integers(self, lo, hi, size, dtype):
+        head, self.words = self.words, []
+        return np.array(head + [2**32 - 1] * size, dtype=dtype)
+
+
+class TestSpanWalk:
+    """Spans mapped from word arrays and applied in bulk give the scalar loop's masks."""
+
+    @pytest.mark.parametrize(
+        "frames, span_max, visible, seeds",
+        [(3000, 8, v, (0, 1)) for v in (0, 1, 2, 5)]
+        + [(1000, None, v, (0, 1)) for v in (0, 1, 2, 5)]
+        + [(300, None, v, (0, 1, 2)) for v in (0, 1, 2, 5)]
+        + [(3000, None, 5, (0,))],  # fewer left visible: the oracle takes seconds
+    )
+    def test_near_full_masks_match_scalar_loop(self, frames, span_max, visible, seeds):
+        for seed in seeds:
+            cfg = MaskConfig(mask_ratio=(frames - visible) / frames, span_max=span_max, seed=seed)
+            assert math.floor(cfg.mask_ratio * frames) == frames - visible
+            for count_overlaps in (False, True):
+                np.testing.assert_array_equal(
+                    generate_block_mask(frames, cfg, count_overlaps=count_overlaps),
+                    reference_block_mask(frames, cfg, count_overlaps=count_overlaps),
+                )
+
+    @pytest.mark.parametrize("count_overlaps", [False, True])
+    @pytest.mark.parametrize(
+        "frames, span_min, span_max, ratio",
+        [
+            (5000, 3, 3, 0.5),  # the length draws no word, and the walk runs in bulk
+            (5000, 1, 1, 0.97),
+            (200, 4, 4, 0.9),
+            (7, 7, None, 0.5),  # span_min == T: neither draw takes a word
+            (7, 7, 7, 1.0),
+            (12, 2, 12, 0.9),  # a length of T leaves the start one value
+            (40, 30, 40, 0.8),
+        ],
+    )
+    def test_one_value_ranges_match_scalar_loop(
+        self, frames, span_min, span_max, ratio, count_overlaps
+    ):
+        for seed in range(12):
+            cfg = MaskConfig(mask_ratio=ratio, span_min=span_min, span_max=span_max, seed=seed)
+            np.testing.assert_array_equal(
+                generate_block_mask(frames, cfg, count_overlaps=count_overlaps),
+                reference_block_mask(frames, cfg, count_overlaps=count_overlaps),
+            )
+
+    @pytest.mark.parametrize("count_overlaps", [False, True])
+    def test_start_draw_rejection_matches_scalar_loop(self, count_overlaps, monkeypatch):
+        # Found with the scalar loop: span 1008 of this benchmark-shaped mask
+        # rejects its first start word.
+        cfg = MaskConfig(mask_ratio=0.5, span_min=2, span_max=8, seed=9)
+        rejected = []
+
+        def recording(words, n):
+            offsets, flags = _bounded(words, n)
+            if np.ndim(n):  # per-span start ranges
+                rejected.append(bool(flags.any()))
+            return offsets, flags
+
+        monkeypatch.setattr(masking, "_bounded", recording)
+        np.testing.assert_array_equal(
+            generate_block_mask(100_000, cfg, count_overlaps=count_overlaps),
+            reference_block_mask(100_000, cfg, count_overlaps=count_overlaps),
+        )
+        assert any(rejected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_target_walk_is_bounded(self, seed, monkeypatch):
+        # One frame left visible of 8000: a span reaches it about 4/T**2 of
+        # the time, so the scalar loop makes millions of steps.  The walk
+        # steps only spans that may reach it and maps the rest in chunks.
+        counts = {"step": 0, "_apply": 0, "_refill": 0}
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return method(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(masking._Walk, "step")
+        counted(masking._Walk, "_apply")
+        counted(_WordStream, "_refill")
+        mask = generate_block_mask(8000, MaskConfig(mask_ratio=0.9999, seed=seed))
+        assert int(np.count_nonzero(mask == 0)) >= 7999
+        assert counts["step"] <= 1000
+        assert counts["_refill"] <= 2000  # chunks of at most 2**13 words
+        # Short spans: runs that fit the need are applied in bulk until they
+        # mask nothing, then only spans that may reach a visible frame.
+        counts.update(step=0, _apply=0, _refill=0)
+        cfg = MaskConfig(mask_ratio=(100_000 - 10) / 100_000, span_max=8, seed=seed)
+        assert int(np.count_nonzero(generate_block_mask(100_000, cfg) == 0)) >= 99_990
+        assert counts["step"] <= 1000 and counts["_apply"] <= 600
+        counts.update(step=0, _apply=0, _refill=0)
+        assert not generate_block_mask(100_000, MaskConfig(mask_ratio=1.0, seed=seed)).any()
+        assert counts == {"step": 0, "_apply": 0, "_refill": 0}
+
+    def test_full_ratio_is_all_zeros_after_the_checks(self):
+        with pytest.raises(ConfigError, match="2\\*\\*32"):
+            generate_block_mask(2**32, MaskConfig(mask_ratio=1.0))
+        with pytest.raises(ConfigError, match="exceeds sequence length"):
+            generate_block_mask(4, MaskConfig(mask_ratio=1.0, span_min=5))
+        mask = generate_block_mask(1000, MaskConfig(mask_ratio=1.0, span_min=3, span_max=9))
+        assert mask.dtype == np.uint8 and mask.shape == (1000,) and not mask.any()
+
+    @staticmethod
+    def check_bounded(seed, lo, hi, draws):
+        n = hi - lo + 1
+        words = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, 2**32, size=4 * draws, dtype=np.uint32
+        )
+        offsets, rejected = _bounded(words, n)
+        got = [lo + int(v) for v in offsets[~rejected][:draws]]
+        scalar_rng = np.random.Generator(np.random.PCG64(seed))
+        assert got == [int(scalar_rng.integers(lo, hi + 1)) for _ in range(len(got))]
+        assert len(got) >= draws // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lo=st.integers(-(2**40), 2**40),
+        width=st.one_of(
+            st.integers(1, 64), st.integers(1, 2**32 - 2), st.integers(2**31, 2**32 - 2)
+        ),
+    )
+    def test_bounded_equals_rng_integers(self, seed, lo, width):
+        self.check_bounded(seed, lo, lo + width, 60)
+
+    @pytest.mark.parametrize(
+        "width", [1, 2**31, 2**31 + 2**30, 3 * 10**9, 2**32 - 2]
+    )
+    def test_bounded_on_rejection_heavy_ranges(self, width):
+        self.check_bounded(2024, 0, width, 500)
+
+    def test_bounded_rejects_exactly_below_the_threshold(self):
+        # as in test_integer_rejects_exactly_below_the_threshold, per word
+        # and for a range size given per word
+        n = 2**31 + 1
+        threshold = 2**31 - 1
+        below, at = ((t * n) % 2**32 for t in (threshold - 1, threshold))
+        words = np.array([below, at, below], dtype=np.uint32)
+        per_word = np.array([n, n, 2**31], dtype=np.uint64)  # 2**31 has threshold 0
+        for sizes, want in ((n, [True, False, True]), (per_word, [True, False, False])):
+            offsets, rejected = _bounded(words, sizes)
+            assert rejected.tolist() == want
+            assert int(offsets[1]) == at * n >> 32
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(1, 60),
+        span_min=st.integers(1, 8),
+        extra=st.integers(0, 60),
+    )
+    def test_spans_equal_scalar_draws(self, seed, frames, span_min, extra):
+        # A fifth of the words are 0, which every range of n values rejects
+        # unless n is a power of two.
+        span_min = min(span_min, frames)
+        span_max = min(span_min + extra, frames)
+        rng = np.random.default_rng(seed)
+        words = np.where(rng.random(64) < 0.2, 0, rng.integers(1, 2**32, 64)).astype(np.uint32)
+        lengths, starts, used = _spans(words, span_min, span_max, frames)
+        stream = _WordStream(FixedWords(words.tolist()))
+        stream.peek(1)
+        held = len(stream._array)  # the given words and the first chunk after them
+
+        def consumed():
+            stream.skip(0)
+            return held - len(stream._array)
+
+        for length, start in zip(lengths.tolist(), starts.tolist()):
+            assert stream.integer(span_min, span_max) == length
+            assert stream.integer(0, frames - length) == start
+        assert consumed() == used
+        per_span = 1 if span_min == span_max else 2
+        if len(lengths) < len(words) // per_span:
+            # mapping stopped at a span that rejects a word or has one start
+            length = stream.integer(span_min, span_max)
+            stream.integer(0, frames - length)
+            assert consumed() - used != per_span or length == frames
 
 
 class TestBatchedMasks:

@@ -342,6 +342,12 @@ class TestTokenRate:
         _, tps = token_rate(24000, 9600, 128)
         assert tps == 320.0
 
+    def test_bound_of_one_accepted(self):
+        # hop and sample_rate of exactly 1 are valid: the bound is >= 1, not > 1
+        assert token_rate(24000, 1, 2) == (24000.0, 48000.0)
+        assert token_rate(1, 1, 3) == (1.0, 3.0)
+        assert token_rate(1.0, 4, 1) == (0.25, 0.25)
+
     def test_zero_hop_rejected(self):
         with pytest.raises(ValueError):
             token_rate(24000, 0, 19)
