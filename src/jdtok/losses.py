@@ -11,12 +11,12 @@ functions are stateless reductions over arrays.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._blockmap import map_blocks
 from .errors import ValidationError, as_integer
 
 __all__ = [
@@ -176,32 +176,6 @@ def log_magnitude_l1(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
     return float(_log_distance(s_ref, s_hat) / s_ref.size)
 
 
-def _map_in_runs(fn, items: list) -> list:
-    """``[fn(*item) for item in items]``, one strided run per usable CPU.
-
-    The CPUs are those the process may run on now.  Run ``w`` of ``workers``
-    holds items ``w, w + workers, ...``, so where the cost of an item follows
-    its position (the STFT blocks, by resolution), every run gets an equal
-    share of each kind.  Each run is computed on its own thread; the results
-    come back in item order, and every thread has ended when this returns.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    workers = min(len(affinity(0)) if affinity else 1, len(items))
-    if workers <= 1:
-        return [fn(*item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    results: list = [None] * len(items)
-    with ThreadPoolExecutor(workers) as pool:
-        runs = [
-            pool.submit(lambda run: [fn(*item) for item in run], items[w::workers])
-            for w in range(workers)
-        ]
-        for w, run in enumerate(runs):
-            results[w::workers] = run.result()
-    return results
-
-
 def multi_res_stft(
     x_hat: np.ndarray, x: np.ndarray, cfg: StftConfig = StftConfig()
 ) -> tuple[float, list[tuple[float, float]]]:
@@ -216,13 +190,13 @@ def multi_res_stft(
     No spectrogram is built: both signals are reflect-padded once into one
     float64 buffer, and each resolution walks its frames in blocks of about
     ``_BLOCK_SAMPLES`` samples per signal.  Every block of every resolution
-    yields three terms (difference energy, reference energy, log distance);
-    the blocks are spread over the CPUs the process may use, one strided
-    run each, and the terms are then added in block order.  The arithmetic
-    and the order of the sums do not depend on the CPU count, so neither
-    does the result, bit for bit.  Memory is O(signal + workers x block):
-    the [2, n + fft] float64 buffer plus one block's frames, spectrum and
-    magnitudes per worker.
+    yields three terms (difference energy, reference energy, log distance).
+    ``map_blocks`` spreads the blocks over the CPUs the process may use, each
+    thread taking the next block from one shared counter, and the terms are
+    then added in block order.  The arithmetic and the order of the sums do
+    not depend on the CPU count, so neither does the result, bit for bit.
+    Memory is O(signal + workers x block): the [2, n + fft] float64 buffer
+    plus one block's frames, spectrum and magnitudes per worker.
     """
     x_hat = np.ravel(x_hat)
     x = np.ravel(x)
@@ -242,13 +216,14 @@ def multi_res_stft(
         win = _hann_periodic(fft_size)
         blocks += [(frames[:, start : start + step], win) for start in starts]
 
-    def block_terms(block: np.ndarray, win: np.ndarray):
+    def block_terms(item: tuple[np.ndarray, np.ndarray]):
+        block, win = item
         s_hat, s_ref = np.abs(np.fft.rfft(block * win))
         diff = (s_hat - s_ref).ravel()
         ref = s_ref.ravel()
         return diff @ diff, ref @ ref, _log_distance(s_ref, s_hat)
 
-    terms = iter(_map_in_runs(block_terms, blocks))
+    terms = iter(map_blocks(block_terms, blocks))
     per_resolution: list[tuple[float, float]] = []
     total = 0.0
     for n_frames, fft_size, n_blocks in resolutions:

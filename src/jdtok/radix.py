@@ -69,9 +69,11 @@ class RadixScheme:
     exceed the dimension count.  The derived padded layout, per-group
     vocabularies and the radix runs are computed once, at construction, as
     is ``levels``: the radices as the ``FsqLevels`` that checked them.
+    ``radices`` may be given as that ``FsqLevels``, which is then kept as
+    ``levels`` and not checked again; ``radices`` is still its tuple.
     """
 
-    radices: tuple[int, ...]
+    radices: tuple[int, ...] | FsqLevels
     group_size: int
     levels: FsqLevels = field(init=False, repr=False, compare=False)
     padded_radices: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -82,7 +84,9 @@ class RadixScheme:
     _wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        levels = FsqLevels(self.radices)
+        levels = self.radices
+        if not isinstance(levels, FsqLevels):
+            levels = FsqLevels(levels)
         radices = levels.levels
         g = as_integer("group_size", self.group_size)  # 7.0 too, as FsqLevels rejects 4.0
         if g < 1:
@@ -138,9 +142,11 @@ def _radix_runs(groups: tuple[tuple[int, ...], ...]) -> tuple:
 
 
 def build_scheme(levels, group_size: int) -> RadixScheme:
-    """Derive the packing scheme from quantizer levels (radix = level count)."""
-    radices = levels.levels if isinstance(levels, FsqLevels) else levels
-    return RadixScheme(radices=radices, group_size=group_size)
+    """Derive the packing scheme from quantizer levels (radix = level count).
+
+    An ``FsqLevels`` is kept as the scheme's ``levels``, not checked again.
+    """
+    return RadixScheme(radices=levels, group_size=group_size)
 
 
 def _checked_tokens(tokens, scheme: RadixScheme) -> np.ndarray:

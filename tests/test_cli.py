@@ -4,6 +4,7 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +31,11 @@ def write_features(path, frames, channels=128, seed=0):
     data = rng.standard_normal((channels, frames)).astype(np.float32)
     write_feature_file(path, data, 2.5)
     return data
+
+
+def report_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def set_rate(path, offset, rate):
@@ -255,9 +261,7 @@ class TestScore:
         self.write_wave(hyp, x + 0.1 * rng.standard_normal(x.size))
         outs = []
         for count in (1, 2):
-            monkeypatch.setattr(
-                os, "sched_getaffinity", lambda pid, n=count: set(range(n)), raising=False
-            )
+            report_cpus(monkeypatch, count)
             assert main(["score", "--ref", str(ref), "--hyp", str(hyp)]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and "stft total: " in outs[0]
@@ -525,9 +529,13 @@ def write_config(path, levels, group_size):
 
 
 class TestBlocks:
-    """The commands walk 512-frame blocks; their bytes must not show it."""
+    """The commands spread 1024-frame blocks over the CPUs; their bytes must not show it."""
 
-    @pytest.mark.parametrize("frames", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.fixture(autouse=True, params=[1, 2, 3, 8], ids=lambda n: f"{n}cpu")
+    def cpus(self, request, monkeypatch):
+        report_cpus(monkeypatch, request.param)
+
+    @pytest.mark.parametrize("frames", [0, 1, B - 1, B, B + 1, 2 * B + 3, 4 * B + 1])
     @pytest.mark.parametrize("name", SCHEMES)
     def test_matches_whole_array_composition(self, tmp_path, capsys, name, frames):
         levels, group_size = SCHEMES[name]
@@ -549,6 +557,19 @@ class TestBlocks:
         assert not tok.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    def test_nan_in_two_blocks_exits_4_without_output_or_threads(self, tmp_path, capsys):
+        feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
+        data = np.random.default_rng(9).standard_normal((128, 4 * B + 1)).astype(np.float32)
+        data[3, B + 5] = data[90, 3 * B] = np.nan
+        write_feature_file(feat, data, 2.5)
+        before = threading.active_count()
+        assert main(["tokenize", "--config", CONFIG, "--in", str(feat), "--out", str(tok)]) == 4
+        assert threading.active_count() == before
+        assert not tok.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input contains non-finite values\n"
+
     def test_bad_token_in_last_block_exits_4_without_output(self, tmp_path, capsys):
         feat, tok, back = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "b.jdf"
         write_features(feat, 2 * B + 3, seed=7)
@@ -564,7 +585,7 @@ class TestBlocks:
 class TestPipes:
     """A stream read from a pipe gives the bytes of the same stream read from its file."""
 
-    FRAMES = 2 * B + 3  # a 526 kB feature payload: more than one 64 KiB pipe buffer
+    FRAMES = 2 * B + 3  # a 1.05 MB feature payload: more than one 64 KiB pipe buffer
 
     def run(self, command, src, out, *extra):
         argv = [sys.executable, "-m", "jdtok", command, *extra, "--in", "/dev/stdin"]

@@ -389,21 +389,6 @@ class TestSpreadOverCpus:
         assert len(threads) <= count
         assert (threading.get_ident() in threads) == (count == 1)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 8])
-    def test_map_in_runs_keeps_item_order(self, monkeypatch, count):
-        set_cpus(monkeypatch, count)
-        for n in range(21):
-            items = [(i, 10 * i) for i in range(n)]
-            assert losses._map_in_runs(lambda a, b: (a, b, a + b), items) == [
-                (a, b, a + b) for a, b in items
-            ]
-
-    def test_no_thread_outlives_the_call(self, monkeypatch):
-        before = threading.active_count()
-        set_cpus(monkeypatch, 8)
-        multi_res_stft(*self.noisy_pair(50_000))
-        assert threading.active_count() == before
-
 
 class TestStftConfig:
     def test_defaults(self):

@@ -187,6 +187,20 @@ class TestScheme:
         assert hash(scheme) == hash(RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3))
         assert repr(scheme) == "RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3)"
 
+    def test_keeps_the_levels_that_built_it(self, monkeypatch):
+        levels = FsqLevels((5, 4, 3, 2, 7))
+        checks = []
+        check = FsqLevels.__post_init__
+        monkeypatch.setattr(FsqLevels, "__post_init__", lambda self: checks.append(check(self)))
+        scheme = build_scheme(levels, group_size=3)
+        assert scheme.levels is levels and not checks  # the list is not checked again
+        # a plain tuple is checked once, into a new FsqLevels
+        plain = RadixScheme(radices=(5, 4, 3, 2, 7), group_size=3)
+        assert len(checks) == 1 and plain.levels == levels
+        assert scheme.radices == plain.radices == (5, 4, 3, 2, 7)
+        assert scheme == plain and hash(scheme) == hash(plain)
+        assert repr(scheme) == repr(plain)
+
 
 class TestOneLevelRule:
     """Every radix is a level count, so FsqLevels alone checks the list."""
