@@ -22,7 +22,6 @@ from .fsq import (
 from .losses import (
     DiscriminatorOutputs,
     GanLosses,
-    StftConfig,
     gan_losses,
     jepa_masked_mse,
     l1_loss,

@@ -22,7 +22,7 @@ from ._blockmap import map_blocks
 from .config import load_config
 from .errors import ConfigError, FormatError, ValidationError
 from .fsq import fsq_dequantize, fsq_indices
-from .losses import StftConfig, l1_loss, multi_res_stft, total_stage2
+from .losses import STFT_RESOLUTIONS, l1_loss, multi_res_stft, total_stage2
 from .masking import generate_block_mask, masked_fraction
 from .radix import TokenStream, pack_frames, token_rate, unpack_frames
 
@@ -132,12 +132,9 @@ def _cmd_score(args) -> int:
     if ref_rate != hyp_rate:
         raise ValidationError(f"sample rate mismatch: {ref_rate:g} vs {hyp_rate:g}")
     rec = l1_loss(hyp[0], ref[0])
-    stft_cfg = StftConfig()
-    stft_total, per_res = multi_res_stft(hyp[0], ref[0], stft_cfg)
+    stft_total, per_res = multi_res_stft(hyp[0], ref[0])
     print(f"l1: {rec:.6g}")
-    for (fft, hop), (sc, mag) in zip(
-        zip(stft_cfg.fft_sizes, stft_cfg.hop_sizes), per_res
-    ):
+    for (fft, hop), (sc, mag) in zip(STFT_RESOLUTIONS, per_res):
         print(f"stft fft={fft} hop={hop}: sc={sc:.6g} log_mag={mag:.6g}")
     print(f"stft total: {stft_total:.6g}")
     weighted = total_stage2(rec, stft_total, lambda_stft=cfg.lambda_stft)

@@ -12,8 +12,8 @@ array, and the field it fills in ``CodecConfig``, ``DaamParams.init`` (the
     group_size      int     dimensions packed per token (default 7; at most
                             the number of levels, each group's vocabulary at
                             most 2**64)
-    lambda_stft     float   STFT loss weight (default 2.0)
-    lambda_gan      float   GAN loss weight (default 0.1)
+    lambda_stft     float   STFT loss weight of ``jdtok score`` (default 2.0)
+    lambda_gan      float   accepted (default 0.1); no command reads it
     temperature     float   accepted for config compatibility; has no effect
     daam.k          int     gate mixture components (default 4, at most 256)
     daam.alpha      float   gate modulation strength (default 0.05)
@@ -68,7 +68,7 @@ class CodecConfig:
     levels: FsqLevels = FsqLevels()
     group_size: int = 7
     lambda_stft: float = DEFAULT_LAMBDA_STFT
-    lambda_gan: float = DEFAULT_LAMBDA_GAN
+    lambda_gan: float = DEFAULT_LAMBDA_GAN  # accepted, unused: score has no GAN term
     temperature: float = 1.0  # accepted for compatibility, unused
     daam: DaamParams = DaamParams.init()
     mask: MaskConfig = MaskConfig()

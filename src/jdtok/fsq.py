@@ -8,7 +8,7 @@ integer per dimension.
 
 Neither snap (``fsq_quantize``, or ``quantize_projected`` without the tanh)
 evaluates tanh or a distance per value.  Both compare the raw input with a
-table of L - 1 input-space thresholds, cached per level count, map (tanh or
+table of L - 1 input-space thresholds, cached per level list, map (tanh or
 identity) and float width.  Threshold tau_j is the smallest
 float64 x whose image f(x) is strictly nearer lattice point j + 1 than j,
 |f(x) - c[j+1]| < |f(x) - c[j]|, in the float arithmetic an argmin over the
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,6 @@ def _ordered(bits: np.ndarray) -> np.ndarray:
     return bits ^ ((bits >> 63) & _MAGNITUDE)
 
 
-@functools.lru_cache(maxsize=64)
 def _thresholds(level: int, transform, dtype) -> np.ndarray:
     """The ascending thresholds tau_j for ``level`` levels, read-only.
 
@@ -199,9 +199,26 @@ def _count_thresholds(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     return index
 
 
-def _snap(x: np.ndarray, level: int, transform, with_values: bool) -> tuple:
+@functools.lru_cache(maxsize=16)
+def _level_tables(levels: tuple[int, ...], transform, dtype) -> tuple:
+    """(level, rows, table) for each distinct count of ``levels``; rows is a bool mask.
+
+    Cached per level list, map and float width, at most 16 lists: a list
+    with many distinct counts builds its tables once, not once per block.
+    """
+    lvl = np.asarray(levels)
+    return tuple(
+        (level, lvl == level, _thresholds(level, transform, dtype))
+        for level in dict.fromkeys(levels)
+    )
+
+
+_TABLES_LOCK = threading.Lock()
+
+
+def _snap(x: np.ndarray, level: int, table: np.ndarray, with_values: bool) -> tuple:
     """The indices of ``x``, and if ``with_values`` their lattice values, else None."""
-    index = _count_thresholds(x, _thresholds(level, transform, x.dtype.type))
+    index = _count_thresholds(x, table)
     if not with_values:
         return index, None
     return index, _lattice(np.arange(level), level).take(index)
@@ -210,16 +227,16 @@ def _snap(x: np.ndarray, level: int, transform, with_values: bool) -> tuple:
 def _quantize(values, levels, transform, with_values: bool = True) -> tuple:
     levels = _as_levels(levels)
     values = _finite_rows(values, levels)
-    distinct = set(levels.levels)
-    if len(distinct) == 1:  # the usual case: no gather or scatter of rows
-        return _snap(values, levels.levels[0], transform, with_values)
+    with _TABLES_LOCK:  # one thread builds a new list's tables while the others wait
+        tables = _level_tables(levels.levels, transform, values.dtype.type)
+    if len(tables) == 1:  # the usual case: no gather or scatter of rows
+        level, _, table = tables[0]
+        return _snap(values, level, table, with_values)
     # each level count has its own table: snap the rows sharing a level together
-    lvl = np.asarray(levels.levels)
     index = np.empty(values.shape, dtype=np.int64)
     lattice = np.empty(values.shape) if with_values else None
-    for level in distinct:
-        rows = lvl == level
-        index[rows], part = _snap(values[rows], level, transform, with_values)
+    for level, rows, table in tables:
+        index[rows], part = _snap(values[rows], level, table, with_values)
         if with_values:
             lattice[rows] = part
     return index, lattice

@@ -17,10 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blockmap import map_blocks
-from .errors import ValidationError, as_integer
+from .errors import ValidationError
 
 __all__ = [
-    "StftConfig",
     "DiscriminatorOutputs",
     "GanLosses",
     "jepa_masked_mse",
@@ -35,30 +34,9 @@ __all__ = [
 DEFAULT_LAMBDA_STFT = 2.0
 DEFAULT_LAMBDA_GAN = 0.1
 MAGNITUDE_FLOOR = 1e-7
-
-
-@dataclass(frozen=True)
-class StftConfig:
-    """Multi-resolution STFT settings: five FFT sizes with 4x overlap.
-
-    Magnitudes are floored at ``MAGNITUDE_FLOOR`` before the log.
-    """
-
-    fft_sizes: tuple[int, ...] = (2048, 1024, 512, 256, 128)
-    hop_sizes: tuple[int, ...] = (512, 256, 128, 64, 32)
-
-    def __post_init__(self) -> None:
-        # each size a Python int: 256.0 is rejected, not truncated
-        fft_sizes = tuple(as_integer("fft size", n) for n in self.fft_sizes)
-        hop_sizes = tuple(as_integer("hop size", h) for h in self.hop_sizes)
-        object.__setattr__(self, "fft_sizes", fft_sizes)
-        object.__setattr__(self, "hop_sizes", hop_sizes)
-        if len(self.fft_sizes) != len(self.hop_sizes):
-            raise ValueError("fft_sizes and hop_sizes must have equal length")
-        if any(n < 1 for n in self.fft_sizes) or any(h < 1 for h in self.hop_sizes):
-            raise ValueError("fft and hop sizes must be positive")
-        if any(h > n for n, h in zip(self.fft_sizes, self.hop_sizes)):
-            raise ValueError("hop size must not exceed fft size")
+# (fft size, hop) of each resolution of ``multi_res_stft``, widest first:
+# five FFT sizes with 4x overlap
+STFT_RESOLUTIONS = ((2048, 512), (1024, 256), (512, 128), (256, 64), (128, 32))
 
 
 def jepa_masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> float:
@@ -104,7 +82,7 @@ def _hann_periodic(n: int) -> np.ndarray:
 
 
 # Samples per signal that one block of the multi-resolution loss transforms:
-# max(1, _BLOCK_SAMPLES // fft_size) frames, so a block's windowed frames,
+# _BLOCK_SAMPLES // fft_size frames, so a block's windowed frames,
 # spectrum and magnitudes stay in cache whatever the resolution.
 _BLOCK_SAMPLES = 1 << 14
 
@@ -176,10 +154,8 @@ def log_magnitude_l1(s_ref: np.ndarray, s_hat: np.ndarray) -> float:
     return float(_log_distance(s_ref, s_hat) / s_ref.size)
 
 
-def multi_res_stft(
-    x_hat: np.ndarray, x: np.ndarray, cfg: StftConfig = StftConfig()
-) -> tuple[float, list[tuple[float, float]]]:
-    """Sum of spectral-convergence and log-magnitude losses over resolutions.
+def multi_res_stft(x_hat: np.ndarray, x: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
+    """Sum of spectral-convergence and log-magnitude losses over ``STFT_RESOLUTIONS``.
 
     Returns (total, per-resolution list of (sc, log_mag) pairs), equal to
     ``spectral_convergence`` and ``log_magnitude_l1`` of the centred,
@@ -204,13 +180,13 @@ def multi_res_stft(
         raise ValidationError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
     if not (np.isfinite(x_hat).all() and np.isfinite(x).all()):
         raise ValidationError("input contains non-finite values")
-    widest = max(cfg.fft_sizes)
+    widest = STFT_RESOLUTIONS[0][0]
     padded = _reflect_pad([x_hat, x], widest)
     resolutions = []
     blocks = []
-    for fft_size, hop in zip(cfg.fft_sizes, cfg.hop_sizes):
+    for fft_size, hop in STFT_RESOLUTIONS:
         frames = _frames(padded, widest, fft_size, hop)
-        step = max(1, _BLOCK_SAMPLES // fft_size)
+        step = _BLOCK_SAMPLES // fft_size
         starts = range(0, frames.shape[1], step)
         resolutions.append((frames.shape[1], fft_size, len(starts)))
         win = _hann_periodic(fft_size)

@@ -230,6 +230,41 @@ class TestVocabSummary:
         assert _vocab_summary(build_scheme(levels, group_size).group_products) == want
 
 
+# The whole stdout of `jdtok score` for seeded float32 pairs at 24 kHz:
+# (seed, samples, noise scale of hyp - ref, config text or None) -> stdout.
+# A change in the resolutions, their order, the arithmetic or the printed
+# format fails here.
+GOLDEN_SCORES = [
+    ((41, 24000, 0.1, None),
+     "l1: 0.0799511\n"
+     "stft fft=2048 hop=512: sc=0.0713696 log_mag=0.0995732\n"
+     "stft fft=1024 hop=256: sc=0.0707725 log_mag=0.0984808\n"
+     "stft fft=512 hop=128: sc=0.0704926 log_mag=0.097068\n"
+     "stft fft=256 hop=64: sc=0.0706825 log_mag=0.0975976\n"
+     "stft fft=128 hop=32: sc=0.0710587 log_mag=0.100005\n"
+     "stft total: 0.8471\n"
+     "weighted (l1 + 2 * stft): 1.77415\n"),
+    ((42, 5000, 0.5, None),
+     "l1: 0.402145\n"
+     "stft fft=2048 hop=512: sc=0.357173 log_mag=0.42549\n"
+     "stft fft=1024 hop=256: sc=0.354193 log_mag=0.411599\n"
+     "stft fft=512 hop=128: sc=0.354065 log_mag=0.411186\n"
+     "stft fft=256 hop=64: sc=0.352952 log_mag=0.402111\n"
+     "stft fft=128 hop=32: sc=0.353332 log_mag=0.398714\n"
+     "stft total: 3.82081\n"
+     "weighted (l1 + 2 * stft): 8.04377\n"),
+    ((43, 30000, 0.2, "lambda_stft = 0.75\n"),
+     "l1: 0.159041\n"
+     "stft fft=2048 hop=512: sc=0.140287 log_mag=0.184721\n"
+     "stft fft=1024 hop=256: sc=0.140345 log_mag=0.184553\n"
+     "stft fft=512 hop=128: sc=0.140077 log_mag=0.183329\n"
+     "stft fft=256 hop=64: sc=0.140562 log_mag=0.18451\n"
+     "stft fft=128 hop=32: sc=0.141251 log_mag=0.187788\n"
+     "stft total: 1.62742\n"
+     "weighted (l1 + 0.75 * stft): 1.37961\n"),
+]
+
+
 class TestScore:
     def write_wave(self, path, data, rate=24000.0):
         write_feature_file(path, data[None, :].astype(np.float32), rate)
@@ -265,6 +300,22 @@ class TestScore:
             assert main(["score", "--ref", str(ref), "--hyp", str(hyp)]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and "stft total: " in outs[0]
+
+    @pytest.mark.parametrize("case, want", GOLDEN_SCORES, ids=[str(c) for c, _ in GOLDEN_SCORES])
+    def test_golden_stdout(self, tmp_path, capsys, case, want):
+        seed, samples, noise, config = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(samples)
+        ref, hyp = tmp_path / "ref.jdf", tmp_path / "hyp.jdf"
+        self.write_wave(ref, x)
+        self.write_wave(hyp, x + noise * rng.standard_normal(samples))
+        argv = ["score", "--ref", str(ref), "--hyp", str(hyp)]
+        if config is not None:
+            cfg = tmp_path / "s.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
     def test_length_mismatch_exits_4(self, tmp_path):
         a, b = tmp_path / "a.jdf", tmp_path / "b.jdf"

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_cli import SCHEMES
 
+from jdtok import fsq
 from jdtok.errors import ValidationError
 from jdtok.fsq import (
     FsqLevels,
@@ -13,6 +15,7 @@ from jdtok.fsq import (
     _thresholds,
     fsq_boundaries,
     fsq_dequantize,
+    fsq_indices,
     fsq_quantize,
     quantize_projected,
 )
@@ -184,6 +187,54 @@ class TestQuantize:
                 one_idx, one_val = fn(z[d : d + 1], FsqLevels((level,)))
                 np.testing.assert_array_equal(idx[d], one_idx[0])
                 assert np.array_equal(val[d], one_val[0])
+
+    def count_builds(self, monkeypatch):
+        """A list that grows by each ``_thresholds`` call, from an empty cache on."""
+        builds = []
+        thresholds = fsq._thresholds
+
+        def counting(*key):
+            builds.append(key)
+            return thresholds(*key)
+
+        monkeypatch.setattr(fsq, "_thresholds", counting)
+        fsq._level_tables.cache_clear()
+        return builds
+
+    def test_many_distinct_levels_build_their_tables_once(self, monkeypatch):
+        # 128 distinct counts, each with its own table, snapped block after block
+        levels = FsqLevels(tuple(range(2, 130)))
+        z = (np.random.default_rng(5).standard_normal((128, 1024)) * 2).astype(np.float32)
+        builds = self.count_builds(monkeypatch)
+        first = fsq_indices(z, levels)
+        assert len(builds) == 2 * 128  # each float32 table rounds up a float64 one
+        hits = fsq._level_tables.cache_info().hits
+        second = fsq_indices(z, levels)
+        assert len(builds) == 2 * 128
+        assert fsq._level_tables.cache_info().hits == hits + 1
+        np.testing.assert_array_equal(second, first)
+        for d, level in enumerate(levels.levels):
+            np.testing.assert_array_equal(first[d], fsq_indices(z[d : d + 1], FsqLevels((level,)))[0])
+
+    def test_threads_snapping_a_new_list_build_its_tables_once(self, monkeypatch):
+        levels = FsqLevels(tuple(range(2, 34)))
+        z = np.random.default_rng(6).standard_normal((32, 64)).astype(np.float32)
+        builds = self.count_builds(monkeypatch)
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def snap(i):
+            start.wait()
+            results[i] = fsq_indices(z, levels)
+
+        threads = [threading.Thread(target=snap, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(builds) == 2 * 32
+        for result in results:
+            np.testing.assert_array_equal(result, results[0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
