@@ -148,6 +148,37 @@ class TestStftMagnitude:
             )
 
 
+class TestStftResolutions:
+    def test_five_pairs(self):
+        assert STFT_RESOLUTIONS == ((2048, 512), (1024, 256), (512, 128), (256, 64), (128, 32))
+        assert all(type(n) is int for pair in STFT_RESOLUTIONS for n in pair)
+
+    def test_widest_first_and_within_a_block(self):
+        # multi_res_stft pads once for the first entry, and each resolution
+        # steps _BLOCK_SAMPLES // fft_size >= 1 frames per block
+        ffts = [fft_size for fft_size, _ in STFT_RESOLUTIONS]
+        assert ffts[0] == max(ffts)
+        assert all(1 <= hop <= fft_size <= _BLOCK_SAMPLES for fft_size, hop in STFT_RESOLUTIONS)
+
+
+class TestFramesFromTheWidestPadding:
+    """Frames cut from the one buffer padded for the widest fft equal the
+    frames of a signal reflect-padded for their own fft size; odd sizes and
+    hop = fft too."""
+
+    @pytest.mark.parametrize(
+        "fft_size, hop", list(STFT_RESOLUTIONS) + [(301, 301), (128, 40), (33, 33), (2, 2)]
+    )
+    def test_equal_to_own_padding(self, fft_size, hop):
+        x = np.random.default_rng(fft_size).standard_normal(5000)
+        widest = STFT_RESOLUTIONS[0][0]
+        frames = _frames(_reflect_pad([x], widest), widest, fft_size, hop)[0]
+        padded = np.pad(x, fft_size // 2, mode="reflect")
+        n_frames = (padded.size - fft_size) // hop + 1
+        want = np.stack([padded[f * hop : f * hop + fft_size] for f in range(n_frames)])
+        assert np.array_equal(frames, want)
+
+
 class TestSpectralConvergence:
     def test_identical(self):
         s = np.random.default_rng(7).random((10, 5)) + 0.1
