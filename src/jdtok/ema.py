@@ -49,9 +49,9 @@ def collapse_std(pred: np.ndarray) -> tuple[float, bool]:
 
     ``pred`` is [batch, channels, time].  Each channel's standard deviation
     is taken over the flattened batch and time axes with population (1/N)
-    normalization, then averaged over channels.  ``warn`` is True when the
-    mean falls strictly below ``COLLAPSE_THRESHOLD`` (the threshold itself
-    does not warn).
+    normalization, then averaged over channels.  ``warn`` is True unless the
+    mean reaches ``COLLAPSE_THRESHOLD`` (the threshold itself does not warn),
+    so a NaN mean, from a NaN or infinite prediction, warns.
     """
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim != 3:
@@ -61,4 +61,4 @@ def collapse_std(pred: np.ndarray) -> tuple[float, bool]:
         raise ValueError(f"need at least 2 samples per channel, got {b * t}")
     per_channel = pred.std(axis=(0, 2), ddof=0)
     mean_std = float(per_channel.mean())
-    return mean_std, mean_std < COLLAPSE_THRESHOLD
+    return mean_std, not mean_std >= COLLAPSE_THRESHOLD

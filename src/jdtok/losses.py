@@ -66,15 +66,21 @@ def jepa_masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> f
     return float(np.sum(diff * diff) / (n_mask * pred.shape[0]))
 
 
-def l1_loss(x_hat: np.ndarray, x: np.ndarray) -> float:
-    """Mean absolute sample error between two equal-length waveforms."""
-    x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64).ravel()
+def _equal_length(x_hat: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both waveforms raveled in their own dtypes; unequal lengths are a ``ValidationError``."""
+    x_hat, x = np.ravel(x_hat), np.ravel(x)
     if x_hat.shape != x.shape:
         raise ValidationError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
+    return x_hat, x
+
+
+def l1_loss(x_hat: np.ndarray, x: np.ndarray) -> float:
+    """Mean absolute sample error between two equal-length waveforms, subtracted in float64."""
+    x_hat, x = _equal_length(x_hat, x)
     if x.size == 0:
         raise ValidationError("empty waveform")
-    return float(np.mean(np.abs(x_hat - x)))
+    diff = np.subtract(x_hat, x, dtype=np.float64)
+    return float(np.mean(np.abs(diff, out=diff)))
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -91,9 +97,9 @@ def _reflect_pad(signals, fft_size: int) -> np.ndarray:
     """[len(signals), n + 2*(fft_size // 2)] rows, each signal reflect-padded.
 
     The equal-length 1-D signals of n samples are mirrored by fft_size // 2
-    at both ends without repeating the edge sample, as
-    ``np.pad(mode="reflect")`` does.  The float64 rows hold the frames of
-    every fft size up to ``fft_size`` (see ``_frames``).
+    at both ends without repeating the edge sample.  The rows, in the
+    signals' common dtype, hold the frames of every fft size up to
+    ``fft_size`` (see ``_frames``).
     """
     length = signals[0].size
     if length < fft_size:
@@ -101,12 +107,7 @@ def _reflect_pad(signals, fft_size: int) -> np.ndarray:
             f"input of {length} samples is shorter than the fft size {fft_size}"
         )
     pad = fft_size // 2
-    out = np.empty((len(signals), length + 2 * pad))
-    for row, signal in zip(out, signals):
-        row[pad : pad + length] = signal
-        row[:pad] = signal[pad:0:-1]
-        row[pad + length :] = signal[-2 : -pad - 2 : -1]
-    return out
+    return np.pad(np.stack(signals), ((0, 0), (pad, pad)), mode="reflect")
 
 
 def _frames(padded: np.ndarray, padded_fft: int, fft_size: int, hop: int) -> np.ndarray:
@@ -163,21 +164,19 @@ def multi_res_stft(x_hat: np.ndarray, x: np.ndarray) -> tuple[float, list[tuple[
     Both waveforms must be finite and of equal length of at least the
     largest FFT size.
 
-    No spectrogram is built: both signals are reflect-padded once into one
-    float64 buffer, and each resolution walks its frames in blocks of about
+    No spectrogram is built: both signals are reflect-padded once, in their
+    common dtype, and each resolution walks its frames in blocks of about
     ``_BLOCK_SAMPLES`` samples per signal.  Every block of every resolution
     yields three terms (difference energy, reference energy, log distance).
     ``map_blocks`` spreads the blocks over the CPUs the process may use, each
     thread taking the next block from one shared counter, and the terms are
     then added in block order.  The arithmetic and the order of the sums do
     not depend on the CPU count, so neither does the result, bit for bit.
-    Memory is O(signal + workers x block): the [2, n + fft] float64 buffer
-    plus one block's frames, spectrum and magnitudes per worker.
+    The float64 window makes every windowed sample float64.  Memory is
+    O(signal + workers x block): the [2, n + fft] padded buffer plus one
+    block's frames, spectrum and magnitudes per worker.
     """
-    x_hat = np.ravel(x_hat)
-    x = np.ravel(x)
-    if x_hat.shape != x.shape:
-        raise ValidationError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
+    x_hat, x = _equal_length(x_hat, x)
     if not (np.isfinite(x_hat).all() and np.isfinite(x).all()):
         raise ValidationError("input contains non-finite values")
     widest = STFT_RESOLUTIONS[0][0]

@@ -747,6 +747,20 @@ class TestMemory:
         assert code == 0
         assert peak < 3 * self.PAYLOAD
 
+    def test_score_below_seven_payloads(self, tmp_path, capsys):
+        # the two inputs plus a stacked and a padded copy of both in float32:
+        # about 6 payloads; float64 copies of both inputs peaked near 10
+        samples = 10 * 24000
+        payload = 4 * samples  # one float32 waveform
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, samples))
+        ref, hyp = tmp_path / "ref.jdf", tmp_path / "hyp.jdf"
+        write_feature_file(ref, x.astype(np.float32), 24000.0)
+        write_feature_file(hyp, (x + 0.1 * rng.standard_normal(x.shape)).astype(np.float32), 24000.0)
+        code, peak = traced_peak(["score", "--ref", str(ref), "--hyp", str(hyp)])
+        assert code == 0
+        assert peak < 7 * payload
+
 
 class TestHostileTokenHeader:
     @pytest.mark.parametrize("group_size", [10**6, 2**32 - 1])

@@ -93,6 +93,16 @@ class TestCollapseStd:
         assert mean_std == 0.01
         assert warn is False
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_warns(self, bad):
+        # a NaN mean compares False with the threshold either way; it must warn
+        pred = np.array([[[2.0, 3.0, 4.0]]])
+        pred[0, 0, 1] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf in numpy's std
+            mean_std, warn = collapse_std(pred)
+        assert np.isnan(mean_std)
+        assert warn is True
+
     def test_per_channel_offset_invariance(self):
         rng = np.random.default_rng(4)
         pred = rng.standard_normal((4, 6, 50))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jdtok import losses
+from jdtok.errors import ValidationError
 from jdtok.losses import (
     _BLOCK_SAMPLES,
     _frames,
@@ -86,6 +87,33 @@ class TestL1:
             l1_loss(np.zeros(3), np.zeros(4))
 
 
+def loop_reflect_pad(signals, fft_size):
+    """Oracle: the float64 row-by-row reflect fill that ``_reflect_pad`` replaced."""
+    length = signals[0].size
+    if length < fft_size:
+        raise ValidationError(
+            f"input of {length} samples is shorter than the fft size {fft_size}"
+        )
+    pad = fft_size // 2
+    out = np.empty((len(signals), length + 2 * pad))
+    for row, signal in zip(out, signals):
+        row[pad : pad + length] = signal
+        row[:pad] = signal[pad:0:-1]
+        row[pad + length :] = signal[-2 : -pad - 2 : -1]
+    return out
+
+
+def float64_l1(x_hat, x):
+    """Oracle: the ``l1_loss`` that copied both inputs to float64 before subtracting."""
+    x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x_hat.shape != x.shape:
+        raise ValidationError(f"length mismatch: {x_hat.shape[0]} vs {x.shape[0]}")
+    if x.size == 0:
+        raise ValidationError("empty waveform")
+    return float(np.mean(np.abs(x_hat - x)))
+
+
 def stft_magnitude(x, fft_size, hop):
     """Magnitude spectrogram [bins, frames] of a 1-D waveform: the whole-signal
     oracle of the blocked ``multi_res_stft``.
@@ -94,7 +122,7 @@ def stft_magnitude(x, fft_size, hop):
     hopped by ``hop`` and weighted by a periodic Hann window; bins =
     fft_size // 2 + 1.
     """
-    padded = _reflect_pad([np.ravel(x)], fft_size)
+    padded = loop_reflect_pad([np.ravel(x)], fft_size)
     frames = _frames(padded, fft_size, fft_size, hop)[0]
     return np.abs(np.fft.rfft(frames * _hann_periodic(fft_size), axis=1)).T
 
@@ -377,6 +405,60 @@ class TestBlockedMatchesComposition:
     def test_scaled_copies(self, a):
         x = np.random.default_rng(23).standard_normal(12000)
         self.check(a * x, x)
+
+
+PAIR_DTYPES = {
+    "float32": (np.float32, np.float32),
+    "float64": (np.float64, np.float64),
+    "mixed": (np.float32, np.float64),
+    "int16": (np.int16, np.int16),
+}
+ORACLE_FFTS = [2048, 301, 33, 2]
+
+
+def typed_pair(dtypes, n):
+    """(x_hat, x) of ``n`` seeded samples each, in the named pair of dtypes."""
+    rng = np.random.default_rng(n)
+    pair = []
+    for dtype in dtypes:
+        if np.issubdtype(dtype, np.integer):
+            pair.append(rng.integers(-(2**15), 2**15, n).astype(dtype))
+        else:
+            pair.append(rng.standard_normal(n).astype(dtype))
+    return tuple(pair)
+
+
+def oracle_lengths(ffts):
+    """(fft, n) for n = fft, fft + 1 and 5000 samples."""
+    return [(fft, n) for fft in ffts for n in (fft, fft + 1, 5000)]
+
+
+class TestAgainstTheFloat64Oracles:
+    """The pad in the signals' own dtype and the L1 of one float64 difference
+    equal the float64 copies they replaced, float32 results after an exact
+    cast to float64, and so does the multi-resolution loss built on them."""
+
+    @pytest.mark.parametrize("fft_size, n", oracle_lengths(ORACLE_FFTS))
+    @pytest.mark.parametrize("name", PAIR_DTYPES)
+    def test_reflect_pad(self, name, fft_size, n):
+        pair = typed_pair(PAIR_DTYPES[name], n)
+        padded = _reflect_pad(pair, fft_size)
+        assert padded.dtype == np.result_type(*pair)
+        assert np.array_equal(padded.astype(np.float64), loop_reflect_pad(pair, fft_size))
+
+    @pytest.mark.parametrize("n", sorted({n for _, n in oracle_lengths(ORACLE_FFTS)}))
+    @pytest.mark.parametrize("name", PAIR_DTYPES)
+    def test_l1_loss(self, name, n):
+        pair = typed_pair(PAIR_DTYPES[name], n)
+        assert l1_loss(*pair) == float64_l1(*pair)
+
+    @pytest.mark.parametrize("n", [2048, 2049, 5000])
+    @pytest.mark.parametrize("name", PAIR_DTYPES)
+    def test_multi_res_stft(self, monkeypatch, name, n):
+        pair = typed_pair(PAIR_DTYPES[name], n)
+        got = multi_res_stft(*pair)
+        monkeypatch.setattr(losses, "_reflect_pad", loop_reflect_pad)
+        assert got == multi_res_stft(*pair)
 
 
 def set_cpus(monkeypatch, count):
