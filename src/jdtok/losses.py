@@ -75,11 +75,16 @@ def _equal_length(x_hat: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def l1_loss(x_hat: np.ndarray, x: np.ndarray) -> float:
-    """Mean absolute sample error between two equal-length waveforms, subtracted in float64."""
+    """Mean absolute sample error between two equal-length waveforms, subtracted in float64.
+
+    A NaN or infinite sample gives nan, without a warning: neither a
+    signalling NaN cast to float64 nor inf - inf warns.
+    """
     x_hat, x = _equal_length(x_hat, x)
     if x.size == 0:
         raise ValidationError("empty waveform")
-    diff = np.subtract(x_hat, x, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        diff = np.subtract(x_hat, x, dtype=np.float64)
     return float(np.mean(np.abs(diff, out=diff)))
 
 

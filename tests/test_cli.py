@@ -1,15 +1,20 @@
+import contextlib
 import hashlib
+import io
 import os
 import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_io import SEEDS, hostile
 
 import jdtok.fsq
 from jdtok.cli import _BLOCK_FRAMES as B, _vocab_summary, build_parser, main
@@ -787,6 +792,77 @@ class TestHostileTokenHeader:
         assert "invalid radix table (all levels must be >= 1, got (4, 0))" in err
 
 
+def _mono_seed() -> bytes:
+    """One valid mono waveform file as bytes: 2048 samples, the largest FFT size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.jdf"
+        write_feature_file(path, np.random.default_rng(13).standard_normal((1, 2048)), 24000.0)
+        return path.read_bytes()
+
+
+MONO_SEED = _mono_seed()
+
+
+class TestHostileFiles:
+    """Any bytes given to a command end in a documented exit code with no output.
+
+    Truncated, byte-mutated and random files around a valid one (the
+    strategies of ``tests/test_io.py``) go through ``main(argv)``: the exit
+    code is 0, 3, 4 or 5; a failed command prints nothing to stdout and
+    leaves no output file; and the traced peak stays below 1 MB plus 64
+    times the file's size.
+    """
+
+    @pytest.fixture(scope="class")
+    def where(self, tmp_path_factory):
+        where = tmp_path_factory.mktemp("hostile_cli")
+        (where / "c.cfg").write_bytes(SEEDS["config"])  # the 3 dimensions of the feature seed
+        (where / "ref.jdf").write_bytes(MONO_SEED)
+        return where
+
+    @staticmethod
+    def run(argv, size, out=None):
+        if out is not None and out.exists():
+            out.unlink()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 3, 4, 5)
+        if code:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("error: ")
+            assert out is None or not out.exists()
+        assert peak < (1 << 20) + 64 * size
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=hostile(SEEDS["feature"]))
+    def test_tokenize(self, where, raw):
+        feat, out = where / "f.jdf", where / "t.jdt"
+        feat.write_bytes(raw)
+        argv = ["tokenize", "--config", str(where / "c.cfg"), "--in", str(feat), "--out", str(out)]
+        self.run(argv, len(raw), out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=hostile(SEEDS["token"]))
+    def test_detokenize(self, where, raw):
+        tok, out = where / "t.jdt", where / "b.jdf"
+        tok.write_bytes(raw)
+        self.run(["detokenize", "--in", str(tok), "--out", str(out)], len(raw), out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=hostile(MONO_SEED))
+    def test_score(self, where, raw):
+        wave, ref = where / "w.jdf", str(where / "ref.jdf")
+        wave.write_bytes(raw)
+        self.run(["score", "--ref", ref, "--hyp", str(wave)], len(raw))
+        self.run(["score", "--ref", str(wave), "--hyp", ref], len(raw))
+
+
 class TestConfigGroupSize:
     def test_group_larger_than_dimensions_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "few.cfg"
@@ -834,6 +910,13 @@ class TestFullWidthVocabulary:
         assert proc.returncode == 0
         assert "bits/sec: 160\n" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+
+def signalling_nan_at(n, at):
+    """n float32 ones, with a signalling NaN at ``at``: its cast to float64 raises numpy's invalid flag."""
+    x = np.ones(n, dtype=np.float32)
+    x.view(np.uint32)[at] = 0x7F800001
+    return x
 
 
 class TestExitCodesFromErrorTypes:
@@ -903,8 +986,9 @@ class TestExitCodesFromErrorTypes:
             (np.zeros(0), np.zeros(0), "empty waveform"),
             (np.full(4096, np.nan), np.zeros(4096), "non-finite"),
             (np.r_[np.ones(4095), np.inf], np.ones(4096), "non-finite"),
+            (np.ones(4096), signalling_nan_at(4096, 100), "non-finite"),
         ],
-        ids=["empty", "nan-reference", "inf-reference"],
+        ids=["empty", "nan-reference", "inf-reference", "signalling-nan-hypothesis"],
     )
     def test_score_rejections_exit_4(self, tmp_path, capsys, ref, hyp, message):
         a, b = tmp_path / "ref.jdf", tmp_path / "hyp.jdf"

@@ -86,6 +86,18 @@ class TestL1:
         with pytest.raises(ValueError):
             l1_loss(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "signalling nan"])
+    def test_non_finite_sample_gives_nan_without_a_warning(self, bad):
+        # warnings are errors here: a signalling NaN cast to float64, or inf - inf, warned
+        x = np.random.default_rng(5).standard_normal(64).astype(np.float32)
+        y = x.copy()
+        if bad == "signalling nan":
+            y.view(np.uint32)[7] = 0x7F800001
+        else:
+            x[7] = y[7] = float(bad)
+        assert np.isnan(l1_loss(y, x))
+        assert np.isnan(l1_loss(x, y))
+
 
 def loop_reflect_pad(signals, fft_size):
     """Oracle: the float64 row-by-row reflect fill that ``_reflect_pad`` replaced."""
