@@ -29,7 +29,11 @@ def main() -> None:
     for group_size in (1, 2, 3, 4, 5, 6, 7, 8, 10, 16):
         if group_size > args.dims:  # a group may not outnumber the dimensions
             break
-        scheme = build_scheme(levels, group_size=group_size)
+        try:
+            scheme = build_scheme(levels, group_size=group_size)
+        except ValueError as exc:  # beyond what a token file holds, as are all larger groups
+            print(f"{group_size:>3} {exc}")
+            break
         _, tps = token_rate(args.sample_rate, args.hop, scheme.group_count)
         vocab = scheme.group_products[0]
         bits = tps * math.log2(vocab)

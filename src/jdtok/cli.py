@@ -63,10 +63,6 @@ def _vocab_summary(products: tuple[int, ...]) -> str:
 
 def _cmd_tokenize(args) -> int:
     cfg = load_config(args.config)
-    try:
-        fileio.token_width(cfg.scheme)  # a scheme the token file cannot hold
-    except FormatError as exc:
-        raise ConfigError(str(exc)) from exc
     data, frame_rate = fileio.read_feature_file(args.infile)
     if data.shape[0] != cfg.levels.dim:
         raise ValidationError(
@@ -74,7 +70,7 @@ def _cmd_tokenize(args) -> int:
             f"defines {cfg.levels.dim} quantizer dimensions"
         )
     scheme = cfg.scheme
-    tokens = np.empty((data.shape[1], scheme.group_count), dtype=np.uint64)
+    tokens = np.empty((data.shape[1], scheme.group_count), dtype=scheme.token_dtype)
 
     def tokenize_block(block: slice) -> None:
         indices = fsq_indices(data[:, block], cfg.levels)

@@ -11,7 +11,8 @@ array, and the field it fills in ``CodecConfig``, ``DaamParams.init`` (the
     levels          [int]   quantizer levels per dimension (default 4 x 128)
     group_size      int     dimensions packed per token (default 7; at most
                             the number of levels, each group's vocabulary at
-                            most 2**64)
+                            most 2**32 and each level at most 65535, the
+                            token file's limits)
     lambda_stft     float   STFT loss weight of ``jdtok score`` (default 2.0)
     lambda_gan      float   accepted (default 0.1); no command reads it
     temperature     float   accepted for config compatibility; has no effect

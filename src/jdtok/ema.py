@@ -59,6 +59,7 @@ def collapse_std(pred: np.ndarray) -> tuple[float, bool]:
     b, _, t = pred.shape
     if b * t < 2:
         raise ValueError(f"need at least 2 samples per channel, got {b * t}")
-    per_channel = pred.std(axis=(0, 2), ddof=0)
+    with np.errstate(invalid="ignore"):  # an infinite prediction: inf - inf in the std
+        per_channel = pred.std(axis=(0, 2), ddof=0)
     mean_std = float(per_channel.mean())
     return mean_std, not mean_std >= COLLAPSE_THRESHOLD

@@ -28,8 +28,9 @@ Token file (magic ``JDT1``):
     40      2*D   u16 per-dimension radices
     ...           frames x groups unsigned tokens of the declared width
 
-The token width is 16 when every group vocabulary fits in 2**16, else 32;
-larger vocabularies are not serializable.
+The token width is that of the scheme's token dtype: 16 when every group
+vocabulary fits in 2**16, else 32.  ``RadixScheme`` rejects a radix above
+65535 or a vocabulary above 2**32, which the format cannot hold.
 
 A reader takes the whole file in one read into an uninitialised uint8
 buffer of the size ``fstat`` reports, so it pays no zero-fill that the read
@@ -59,7 +60,6 @@ __all__ = [
     "read_token_file",
     "write_token_file",
     "write_mask_file",
-    "token_width",
 ]
 
 FEATURE_MAGIC = b"JDF1"
@@ -164,29 +164,10 @@ def read_feature_file(path) -> tuple[np.ndarray, float]:
     return payload.reshape(channels, frames), frame_rate
 
 
-def token_width(scheme: RadixScheme) -> int:
-    """Bits per token in a token file of ``scheme``: the narrowest width that fits.
-
-    FormatError if the format cannot hold it: a radix above 65535 or a vocabulary above 2**32.
-    """
-    if any(r > 0xFFFF for r in scheme.radices):
-        raise FormatError(
-            f"radices above {0xFFFF} are not serializable (got {max(scheme.radices)})"
-        )
-    max_product = max(scheme.group_products)
-    width = next((w for w in _TOKEN_DTYPES if max_product <= 1 << w), None)
-    if width is None:
-        raise FormatError(
-            f"group vocabulary {max_product} exceeds the "
-            f"{max(_TOKEN_DTYPES)}-bit token width"
-        )
-    return width
-
-
 def write_token_file(path, stream: TokenStream) -> None:
-    """Write a token stream; width is the smallest of u16/u32 that fits."""
+    """Write a token stream in its scheme's token width, u16 or u32."""
     scheme = stream.scheme
-    width = token_width(scheme)
+    width = scheme.token_dtype.itemsize * 8
     rate = _check_rate(stream.frame_rate_hz, ValidationError)
     header = _TOKEN_HEADER.pack(
         TOKEN_MAGIC,
@@ -199,6 +180,7 @@ def write_token_file(path, stream: TokenStream) -> None:
         rate,
     )
     radices = np.array(scheme.radices, dtype="<u2")
+    # the stream's own array on a little-endian machine, unless a caller gave a strided one
     tokens = np.ascontiguousarray(stream.tokens, dtype=_TOKEN_DTYPES[width])
     _write(path, header, radices, tokens)
 
@@ -230,7 +212,8 @@ def read_token_file(path) -> TokenStream:
             f"({frames} x {group_count} x u{width})"
         )
     tokens = np.frombuffer(raw, dtype=_TOKEN_DTYPES[width], offset=offset)
-    # TokenStream makes the one uint64 copy and checks each token's vocabulary
+    # TokenStream checks each token's vocabulary and keeps this array; it
+    # narrows a u32 payload of a scheme whose tokens fit in u16
     return TokenStream(tokens.reshape(frames, group_count), scheme, frame_rate)
 
 

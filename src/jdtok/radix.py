@@ -10,10 +10,14 @@ tuples equals numeric order on tokens and the map is a bijection onto
 information (their only digit is 0) and serve as padding when the dimension
 count is not a multiple of the group size.
 
-Everything here is exact integer arithmetic; the vectorized frame paths use
-uint64, and scheme construction rejects group products beyond 2**64.  Both
-frame paths hold digits digit-major, one [frames] row per dimension, so a
-[D, frames] index array (what fsq returns) is read and written in memory
+A scheme takes the token file's limits: each radix at most 65535 (a u16)
+and each group vocabulary at most 2**32 (a u32 token); beyond either, its
+construction raises ``ValueError``.  Its ``token_dtype`` is the file's token
+width: uint16 when every vocabulary fits in 2**16, else uint32.  Everything
+here is exact integer arithmetic in that dtype: tokens, the partial values
+of Horner's rule (each below its group's vocabulary) and unpacked digits.
+Both frame paths hold digits digit-major, one [frames] row per dimension, so
+a [D, frames] index array (what fsq returns) is read and written in memory
 order: packing runs Horner's rule on [groups, frames] token rows, reading
 the digit rows in place, and unpacking divides those rows digit by digit.
 
@@ -55,9 +59,8 @@ __all__ = [
     "token_rate",
 ]
 
-MAX_GROUP_PRODUCT = 1 << 64
-# a negative integer cast to uint64 wraps to at least this, above any smaller bound
-_WRAP = 1 << 63
+MAX_RADIX = 0xFFFF  # a u16 in the token file's radix table
+MAX_GROUP_PRODUCT = 1 << 32  # a u32 token
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,11 @@ class RadixScheme:
     ``radices`` holds one radix per real dimension; the final group is padded
     with radix-1 dimensions up to a multiple of ``group_size``, which may not
     exceed the dimension count.  The derived padded layout, per-group
-    vocabularies and the radix runs are computed once, at construction, as
-    is ``levels``: the radices as the ``FsqLevels`` that checked them.
-    ``radices`` may be given as that ``FsqLevels``, which is then kept as
-    ``levels`` and not checked again; ``radices`` is still its tuple.
+    vocabularies, token dtype and radix runs are computed once, at
+    construction, as is ``levels``: the radices as the ``FsqLevels`` that
+    checked them.  ``radices`` may be given as that ``FsqLevels``, which is
+    then kept as ``levels`` and not checked again; ``radices`` is still its
+    tuple.
     """
 
     radices: tuple[int, ...] | FsqLevels
@@ -78,16 +82,20 @@ class RadixScheme:
     levels: FsqLevels = field(init=False, repr=False, compare=False)
     padded_radices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     group_products: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # uint16 when every group vocabulary fits in 2**16, else uint32
+    token_dtype: np.dtype = field(init=False, repr=False, compare=False)
     # per digit position, the runs of groups that share a radix (_radix_runs)
     _runs: tuple = field(init=False, repr=False, compare=False)
-    # some radix exceeds 2**63: unpacked digits need uint64
-    _wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         levels = self.radices
         if not isinstance(levels, FsqLevels):
             levels = FsqLevels(levels)
         radices = levels.levels
+        if max(radices) > MAX_RADIX:
+            raise ValueError(
+                f"radices above {MAX_RADIX} are not serializable (got {max(radices)})"
+            )
         g = as_integer("group_size", self.group_size)  # 7.0 too, as FsqLevels rejects 4.0
         if g < 1:
             raise ValueError(f"group_size must be >= 1, got {g}")
@@ -99,15 +107,17 @@ class RadixScheme:
         for i, prod in enumerate(products):
             if prod > MAX_GROUP_PRODUCT:
                 raise ValueError(
-                    f"group {i} product {prod} exceeds 2**64; use a smaller group size"
+                    f"group {i} vocabulary {prod} exceeds the 32-bit token width; "
+                    "use a smaller group size"
                 )
+        dtype = np.dtype(np.uint16 if max(products) <= 1 << 16 else np.uint32)
         object.__setattr__(self, "radices", radices)
         object.__setattr__(self, "group_size", g)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "padded_radices", padded)
         object.__setattr__(self, "group_products", products)
-        object.__setattr__(self, "_runs", _radix_runs(groups))
-        object.__setattr__(self, "_wide", max(radices) > _WRAP)
+        object.__setattr__(self, "token_dtype", dtype)
+        object.__setattr__(self, "_runs", _radix_runs(groups, dtype))
 
     @property
     def dim(self) -> int:
@@ -123,19 +133,19 @@ class RadixScheme:
 
 
 @functools.lru_cache(maxsize=64)
-def _radix_runs(groups: tuple[tuple[int, ...], ...]) -> tuple:
+def _radix_runs(groups: tuple[tuple[int, ...], ...], dtype: np.dtype) -> tuple:
     """Per digit position, (lo, hi, radix) for each run of consecutive groups sharing a radix.
 
-    The radix is a numpy uint64 scalar, and a 2**64 radix is given as 1.
-    Cached, as the fsq threshold tables are: every token file read builds
-    its scheme again, and the runs would make that half as slow again.
+    The radix is a numpy scalar of the token ``dtype``.  Cached, as the fsq
+    threshold tables are: every token file read builds its scheme again, and
+    the runs would make that half as slow again.
     """
     runs = []
     for column in zip(*groups):
         at, lo = [], 0
         for radix, run in itertools.groupby(column):
             hi = lo + len(list(run))
-            at.append((lo, hi, np.uint64(radix % MAX_GROUP_PRODUCT or 1)))
+            at.append((lo, hi, dtype.type(radix)))
             lo = hi
         runs.append(tuple(at))
     return tuple(runs)
@@ -150,9 +160,11 @@ def build_scheme(levels, group_size: int) -> RadixScheme:
 
 
 def _checked_tokens(tokens, scheme: RadixScheme) -> np.ndarray:
-    """Integer ``tokens`` as [frames, groups] uint64, each in ``[0, product)`` of its group.
+    """Integer ``tokens`` as [frames, groups] ``scheme.token_dtype``, each in ``[0, product)`` of its group.
 
-    The largest token, ``product - 1``, always fits in uint64, even for a 2**64 vocabulary.
+    Each token is compared as given, then narrowed: a uint64 2**32 + 5 is
+    rejected, not wrapped to 5.  No copy is made of tokens already in the
+    token dtype, as a token file's are.
     """
     given = np.asarray(tokens)
     if given.ndim != 2 or given.shape[1] != scheme.group_count:
@@ -161,10 +173,9 @@ def _checked_tokens(tokens, scheme: RadixScheme) -> np.ndarray:
         )
     if not np.issubdtype(given.dtype, np.integer):
         raise ValidationError(f"tokens must be integers, got dtype {given.dtype}")
-    tokens = given.astype(np.uint64, copy=False)
-    largest = np.array([p - 1 for p in scheme.group_products], dtype=np.uint64)
-    bad = tokens > largest
-    if max(scheme.group_products) > _WRAP:
+    largest = np.array([p - 1 for p in scheme.group_products], dtype=scheme.token_dtype)
+    bad = given > largest  # in a dtype that holds both: exact
+    if given.dtype.kind == "i":  # -1 is no larger than a token
         bad |= given < 0
     if np.any(bad):
         f, g = np.argwhere(bad)[0]
@@ -174,7 +185,7 @@ def _checked_tokens(tokens, scheme: RadixScheme) -> np.ndarray:
             f"token {given[f, g]} at frame {f}, group {g} exceeds the group "
             f"vocabulary {scheme.group_products[g]}"
         )
-    return tokens
+    return given.astype(scheme.token_dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -229,46 +240,44 @@ def unpack_group(token: int, radices) -> list[int]:
 
 
 def pack_frames(indices: np.ndarray, scheme: RadixScheme) -> np.ndarray:
-    """Pack [frames, D] integer indices into [frames, groups] tokens (:func:`pack_group`)."""
+    """Pack [frames, D] integer indices into [frames, groups] tokens (:func:`pack_group`).
+
+    Tokens are ``scheme.token_dtype``.
+    """
     indices = np.asarray(indices)
     if indices.ndim != 2 or indices.shape[1] != scheme.dim:
         raise ValueError(
             f"expected a [frames, {scheme.dim}] index array, got shape {indices.shape}"
         )
     digits = _checked_indices(indices.T, scheme.levels)  # [D, frames]: no digit is negative
-    size = scheme.group_size
+    size, dtype = scheme.group_size, scheme.token_dtype
     # digit k of group g is row g * group_size + k; every group has its digit 0
-    tokens = digits[::size].astype(np.uint64, order="C")  # its own buffer: no digit stays alive
-    # uint64 arithmetic is exact modulo 2**64, and every token is below 2**64
+    tokens = digits[::size].astype(dtype, order="C")  # its own buffer: no digit stays alive
     for pos in range(1, size):
         for lo, hi, radix in scheme._runs[pos]:
             part = tokens[lo:hi]
-            if radix != 1:  # a radix 2**64 is given as 1: its group's earlier digits are 0
-                part *= radix
+            if radix != 1:
+                part *= radix  # exact: each partial value stays below its group's vocabulary
             rows = digits[lo * size + pos : hi * size + pos : size]  # no row for a pad
             if len(rows):
                 part = part[: len(rows)]
-                # force the uint64 loop, exact on non-negative digits: uint64 + int64
-                # would promote to float64
-                np.add(part, rows, out=part, dtype=np.uint64, casting="unsafe")
+                # in the token dtype, exact on in-range digits of any integer dtype
+                np.add(part, rows, out=part, dtype=dtype, casting="unsafe")
     return tokens.T
 
 
 def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
-    """Invert :func:`pack_frames`, dropping the pad digits.
-
-    Digits are int64, or uint64 when a radix exceeds 2**63.
-    """
+    """Invert :func:`pack_frames`, dropping the pad digits; digits are ``scheme.token_dtype``."""
     tokens = _checked_tokens(tokens, scheme)
     # digit k of group g fills row g * group_size + k with frames along the
     # row, so the [D, frames] transpose that dequantization reads is contiguous
-    digits = np.empty((scheme.group_count, scheme.group_size, tokens.shape[0]), dtype=np.uint64)
+    digits = np.empty((scheme.group_count, scheme.group_size, tokens.shape[0]), dtype=tokens.dtype)
     rem = tokens.T
     for pos in range(scheme.group_size - 1, 0, -1):
-        quotient = np.empty(rem.shape, dtype=np.uint64)
+        quotient = np.empty(rem.shape, dtype=tokens.dtype)
         for lo, hi, radix in scheme._runs[pos]:
             part, q, digit = rem[lo:hi], quotient[lo:hi], digits[lo:hi, pos]
-            if radix == 1:  # a pad, or a 2**64 radix: its digit is set below
+            if radix == 1:  # a pad: its digit is 0
                 q[...] = part
                 digit[...] = 0
                 continue
@@ -277,15 +286,6 @@ def unpack_frames(tokens: np.ndarray, scheme: RadixScheme) -> np.ndarray:
             np.subtract(part, digit, out=digit)
         rem = quotient
     digits[:, 0] = rem  # in range: every token is below its group product
-    if scheme._wide:
-        # a 2**64 radix: its group's other radices are all 1, so its digit is the token
-        for d, radix in enumerate(scheme.radices):
-            if radix == MAX_GROUP_PRODUCT:
-                g, pos = divmod(d, scheme.group_size)
-                digits[g] = 0
-                digits[g, pos] = tokens[:, g]
-    else:  # every digit is below 2**63
-        digits = digits.view(np.int64)
     return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
 
 

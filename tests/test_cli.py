@@ -900,16 +900,33 @@ class TestFullWidthVocabulary:
         assert "Traceback" not in proc.stderr
         assert not tok.exists()
 
-    def test_info_reports_64_bits_per_token(self, tmp_path):
+    def test_info_exits_2_without_output_or_traceback(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", [2] * 64, 64)
         proc = subprocess.run(
             [sys.executable, "-m", "jdtok", "info", "--config", cfg],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
-        assert "bits/sec: 160\n" in proc.stdout
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "exceeds the 32-bit token width" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_info_reports_32_bits_per_token(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", [2] * 32, 32)  # the largest vocabulary, 2**32
+        assert main(["info", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert f"per-token vocabulary: {2**32}\n" in out
+        assert "bits/sec: 80\n" in out  # 2.5 tokens/sec
+
+    def test_token_file_beyond_32_bits_exits_3_without_output(self, tmp_path, capsys):
+        # u16 radices whose product is 2**32 + 4: no jdtok command writes such a file
+        tok, back = tmp_path / "t.jdt", tmp_path / "b.jdf"
+        header = struct.pack("<4sIIIIIQd", b"JDT1", 1, 1, 4, 4, 32, 1, 2.5)
+        tok.write_bytes(header + struct.pack("<4H", 1321, 2501, 325, 4) + bytes(4))
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 3
+        assert not back.exists()
+        assert "exceeds the 32-bit token width" in capsys.readouterr().err
 
 
 def signalling_nan_at(n, at):
@@ -964,8 +981,10 @@ class TestExitCodesFromErrorTypes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"radices above 65535 are not serializable (got {levels[0]})" in captured.err
-        assert main(["info", "--config", cfg]) == 0
-        assert f"per-token vocabulary: {levels[0]}" in capsys.readouterr().out
+        assert main(["info", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"radices above 65535 are not serializable (got {levels[0]})" in captured.err
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

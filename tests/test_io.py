@@ -32,6 +32,7 @@ from jdtok.radix import TokenStream, build_scheme
 BAD_RATES = [float("nan"), float("inf"), float("-inf"), 0.0, -2.5]
 FEATURE_RATE_OFFSET = 20  # frame_rate_hz in a JDF1 header
 TOKEN_RATE_OFFSET = 32  # frame_rate_hz in a JDT1 header
+TOKEN_HEADER_SIZE = 40  # a JDT1 header before its radix table
 
 
 def set_rate(path, offset, rate):
@@ -192,14 +193,14 @@ class TestTokenFile:
         "radices, group_size, width",
         [([65535], 1, 16), ([2] * 16, 16, 16), ([2] * 17, 17, 32), ([65535, 65535], 2, 32), ([2] * 32, 32, 32)],
     )
-    def test_token_width_is_the_narrowest_that_fits(self, tmp_path, radices, group_size, width):
+    def test_token_width_is_the_scheme_token_dtype(self, tmp_path, radices, group_size, width):
         scheme = build_scheme(radices, group_size)
-        assert fileio.token_width(scheme) == width
+        assert scheme.token_dtype == np.dtype(f"uint{width}")
         path = tmp_path / "w.jdt"
         write_token_file(path, TokenStream(np.zeros((2, 1), dtype=np.uint64), scheme, 1.0))
         assert struct.unpack_from("<I", path.read_bytes(), 20)[0] == width
         back = read_token_file(path)
-        assert back.tokens.dtype == np.uint64
+        assert back.tokens.dtype == scheme.token_dtype
         assert back.scheme == scheme
 
     @pytest.mark.parametrize(
@@ -207,19 +208,41 @@ class TestTokenFile:
         [
             ([65536], 1, "radices above 65535 are not serializable \\(got 65536\\)"),
             ([2**64], 1, "radices above 65535"),
-            ([2] * 33, 33, "group vocabulary 8589934592 exceeds the 32-bit token width"),
+            ([2] * 33, 33, "group 0 vocabulary 8589934592 exceeds the 32-bit token width"),
             ([2] * 64, 64, "exceeds the 32-bit token width"),
         ],
     )
-    def test_token_width_rejects_what_the_format_cannot_hold(self, radices, group_size, message):
-        with pytest.raises(FormatError, match=message):
-            fileio.token_width(build_scheme(radices, group_size))
+    def test_scheme_rejects_what_the_format_cannot_hold(self, radices, group_size, message):
+        with pytest.raises(ValueError, match=message) as info:
+            build_scheme(radices, group_size)
+        assert type(info.value) is ValueError
 
-    def test_oversized_vocabulary_rejected(self, tmp_path):
-        scheme = build_scheme([2] * 33, group_size=33)  # 2**33 > 32-bit
-        stream = TokenStream(np.zeros((1, 1), dtype=np.uint64), scheme, 1.0)
-        with pytest.raises(FormatError, match="width"):
-            write_token_file(tmp_path / "x.jdt", stream)
+    def test_u32_payload_of_a_u16_scheme_reads_as_its_u16_twin(self, tmp_path):
+        scheme = build_scheme([5, 4, 3, 2, 7], group_size=3)  # products 60, 14
+        tokens = np.array([[59, 13], [0, 0], [17, 9]], dtype=np.uint16)
+        u16, u32 = tmp_path / "a.jdt", tmp_path / "b.jdt"
+        write_token_file(u16, TokenStream(tokens, scheme, 2.5))
+        header = TOKEN_HEADER_SIZE + 2 * scheme.dim
+        raw = bytearray(u16.read_bytes()[:header])
+        raw[20:24] = struct.pack("<I", 32)
+        u32.write_bytes(bytes(raw) + tokens.astype("<u4").tobytes())
+        twin, back = read_token_file(u16), read_token_file(u32)
+        assert back.tokens.dtype == twin.tokens.dtype == np.uint16
+        np.testing.assert_array_equal(back.tokens, twin.tokens)
+        assert back.scheme == twin.scheme and back.frame_rate_hz == twin.frame_rate_hz
+        # each token is checked before it is narrowed: 2**16 + 5 is not read as 5
+        u32.write_bytes(bytes(raw) + np.array([[59, 13], [2**16 + 5, 0], [17, 9]], "<u4").tobytes())
+        with pytest.raises(ValidationError, match=f"^token {2**16 + 5} at frame 1, group 0 exceeds"):
+            read_token_file(u32)
+
+    def test_radices_beyond_a_32_bit_vocabulary_rejected(self, tmp_path):
+        # u16 radices whose product is 2**32 + 4: no jdtok command writes such a file
+        path = tmp_path / "v.jdt"
+        header = struct.pack("<4sIIIIIQd", b"JDT1", 1, 1, 4, 4, 32, 0, 2.5)
+        path.write_bytes(header + struct.pack("<4H", 1321, 2501, 325, 4))
+        message = f"invalid radix table (group 0 vocabulary {2**32 + 4} exceeds the 32-bit token width"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_token_file(path)
 
     def test_tampered_token_detected(self, tmp_path):
         scheme = build_scheme([4, 4], group_size=2)
@@ -448,11 +471,13 @@ class TestConfig:
             parse_config("levels = [4, 4, 4]\n")  # group_size defaults to 7
         assert parse_config("levels = [4, 4, 4]\ngroup_size = 3\n").group_size == 3
 
-    def test_group_vocabulary_beyond_64_bits(self):
-        # the packing scheme's own limits surface as configuration errors
-        with pytest.raises(ConfigError, match="exceeds 2\\*\\*64"):
-            parse_config("levels = [65535, 65535, 65535, 65535, 65535]\ngroup_size = 5\n")
-        assert parse_config("levels = [65535, 65535, 65535, 65535]\ngroup_size = 4\n")
+    def test_token_file_limits(self):
+        # the packing scheme's own limits, the token file's, surface as configuration errors
+        with pytest.raises(ConfigError, match="exceeds the 32-bit token width"):
+            parse_config("levels = [65535, 65535, 65535]\ngroup_size = 3\n")
+        assert parse_config("levels = [65535, 65535, 65535]\ngroup_size = 2\n")
+        with pytest.raises(ConfigError, match=re.escape("radices above 65535 are not serializable (got 65536)")):
+            parse_config("levels = [4, 65536]\ngroup_size = 1\n")
 
     def test_temperature_accepted_but_inert(self):
         cfg = parse_config("temperature = 0.7")

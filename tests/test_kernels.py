@@ -9,7 +9,9 @@ broadcast a [D, 1] column of levels; the threshold count made one gather
 per level and multiplied every step's comparison by its step; the lattice
 was one expression with a temporary per operation; and the snap took its
 indices and values in one pass.  Each kernel must equal its old form exactly and name the same first
-bad value, in the one message and order of fsq's digit check.
+bad value, in the one message and order of fsq's digit check.  The radix
+oracles compute in uint64 and int64, as the kernels once did: packed tokens
+and unpacked digits must equal theirs in value, in the scheme's token dtype.
 The CLI's token and lattice bytes of one seeded stream are pinned per scheme.
 """
 
@@ -40,23 +42,18 @@ INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uin
 # the splitter stride of the threshold count is 8 at 17 levels, 16 at 33,
 # 64 at 255 and 256, 128 at 257 and 512 at 1025
 LEVELS = [*range(1, 18), 33, 255, 256, 257, 1025, 65535]
-# every scheme of the CLI tests, plus 2**64 radices, alone and among others
-PACK_SCHEMES = {
+# every scheme of the CLI tests, plus full 2**16 and 2**32 vocabularies, whose
+# largest token is the largest of the token dtype
+RADIX_SCHEMES = {
     **SCHEMES,
-    "radix 2**64": ([2**64], 1),
-    "2**64 among others": ([5, 1, 2**64, 1, 4], 2),
+    "vocabulary 2**16": ([2] * 16, 16),
+    "vocabulary 2**32": ([256, 256, 256, 256, 3], 4),
 }
-# and a radix above 2**63, whose digits need uint64
-UNPACK_SCHEMES = {**PACK_SCHEMES, "radix 2**63 + 1": ([2**63 + 1, 1, 7, 3], 2)}
 
 
 def radix_table(scheme):
-    """The padded radices modulo 2**64 as a uint64 [groups, group_size] table.
-
-    A radix of 2**64 is stored as 0; its group's other radices are all 1, so
-    its digit is the group's token.
-    """
-    table = np.array([r % 2**64 for r in scheme.padded_radices], dtype=np.uint64)
+    """The padded radices as a uint64 [groups, group_size] table."""
+    table = np.array(scheme.padded_radices, dtype=np.uint64)
     return table.reshape(scheme.group_count, scheme.group_size)
 
 
@@ -67,9 +64,7 @@ def frame_major_pack(indices, scheme):
     frames = indices.shape[0]
     padded = np.zeros((frames, *radices.shape), dtype=np.uint64)
     padded.reshape(frames, radices.size)[:, : scheme.dim] = indices
-    bad = padded > radices - np.uint64(1)
-    if scheme._wide:
-        bad.reshape(frames, radices.size)[:, : scheme.dim] |= indices < 0
+    bad = padded > radices - np.uint64(1)  # a negative digit wraps above every radix
     if np.any(bad):
         f, g, k = np.argwhere(bad)[0]
         d = g * scheme.group_size + k
@@ -101,21 +96,13 @@ def padded_column_pack(indices, scheme):
 
 def column_divmod_unpack(tokens, scheme):
     """The former unpack_frames: divmod by a [groups, 1] column of radices per position."""
-    tokens = _checked_tokens(tokens, scheme)
-    table = radix_table(scheme)
-    radices = np.maximum(table, np.uint64(1))
-    digits = np.empty(
-        (scheme.group_count, scheme.group_size, tokens.shape[0]),
-        dtype=np.uint64 if scheme._wide else np.int64,
-    )
+    tokens = _checked_tokens(tokens, scheme).astype(np.uint64)
+    radices = radix_table(scheme)
+    digits = np.empty((scheme.group_count, scheme.group_size, tokens.shape[0]), dtype=np.int64)
     rem = tokens.T
     for pos in range(scheme.group_size - 1, 0, -1):
         rem, _ = np.divmod(rem, radices[:, pos, None], out=(None, digits[:, pos]))
     digits[:, 0] = rem
-    if scheme._wide:
-        for g, pos in np.argwhere(table == 0):
-            digits[g] = 0
-            digits[g, pos] = tokens[:, g]
     return digits.reshape(len(scheme.padded_radices), -1)[: scheme.dim].T
 
 
@@ -163,6 +150,13 @@ def same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
+def same_values(a, b, dtype):
+    """``a`` is of ``dtype`` and equals the oracle's ``b`` in shape and value, or both name one error."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.dtype == dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 def random_digits(radices, frames, dtype, seed):
     """[frames, D] in-range digits of ``dtype``, each below min(radix, dtype's top + 1)."""
     rng = np.random.default_rng(seed)
@@ -176,9 +170,9 @@ def random_digits(radices, frames, dtype, seed):
 
 class TestPackOracle:
     @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
-    @pytest.mark.parametrize("name", PACK_SCHEMES)
+    @pytest.mark.parametrize("name", RADIX_SCHEMES)
     def test_matches_frame_major_pack(self, name, dtype):
-        radices, group_size = PACK_SCHEMES[name]
+        radices, group_size = RADIX_SCHEMES[name]
         scheme = build_scheme(radices, group_size)
         for frames in (0, 1, 7, 20, 512, 513):
             digits = random_digits(radices, frames, dtype, seed=frames)
@@ -187,32 +181,29 @@ class TestPackOracle:
             # and as the transpose of a frame slice of a wider [D, F] array
             for given in (digits, np.ascontiguousarray(digits.T).T, wider[:, 4 : 4 + frames].T):
                 packed = pack_frames(given, scheme)
-                assert same(packed, frame_major_pack(given, scheme))
-                assert same(packed, padded_column_pack(given, scheme))
+                assert same_values(packed, frame_major_pack(given, scheme), scheme.token_dtype)
+                assert same_values(packed, padded_column_pack(given, scheme), scheme.token_dtype)
 
-    @pytest.mark.parametrize("name", PACK_SCHEMES)
+    @pytest.mark.parametrize("name", RADIX_SCHEMES)
     def test_largest_digits_match(self, name):
-        radices, group_size = PACK_SCHEMES[name]
+        radices, group_size = RADIX_SCHEMES[name]
         scheme = build_scheme(radices, group_size)
         top = np.array([[r - 1 for r in radices]] * 3, dtype=np.uint64)
-        assert same(pack_frames(top, scheme), frame_major_pack(top, scheme))
-        assert same(pack_frames(top, scheme), padded_column_pack(top, scheme))
+        packed = pack_frames(top, scheme)
+        assert same_values(packed, frame_major_pack(top, scheme), scheme.token_dtype)
+        assert same_values(packed, padded_column_pack(top, scheme), scheme.token_dtype)
 
-    @pytest.mark.parametrize("name", PACK_SCHEMES)
+    @pytest.mark.parametrize("name", RADIX_SCHEMES)
     def test_bad_digits_name_the_same_first_one(self, name):
-        radices, group_size = PACK_SCHEMES[name]
+        radices, group_size = RADIX_SCHEMES[name]
         scheme = build_scheme(radices, group_size)
         rng = np.random.default_rng(3)
-        signed = max(radices) < 2**63
         for trial in range(40):
-            digits = random_digits(radices, 9, np.int64 if signed else np.uint64, seed=trial)
+            digits = random_digits(radices, 9, np.int64, seed=trial)
             for _ in range(1 + trial % 5):
                 f, d = rng.integers(9), rng.integers(len(radices))
-                if signed:
-                    bad = [-1, radices[d], radices[d] + 7, np.iinfo(np.int64).min]
-                    digits[f, d] = rng.choice(bad)
-                elif radices[d] < 2**64:
-                    digits[f, d] = np.uint64(2**64 - 1)
+                bad = [-1, radices[d], radices[d] + 7, np.iinfo(np.int64).min]
+                digits[f, d] = rng.choice(bad)
             expected = outcome(lambda: frame_major_pack(digits, scheme))
             assert same(outcome(lambda: pack_frames(digits, scheme)), expected)
             assert same(outcome(lambda: padded_column_pack(digits, scheme)), expected)
@@ -231,30 +222,33 @@ class TestPackOracle:
         assert str(info.value) == message
         assert outcome(lambda: frame_major_pack(digits, scheme)) == message
 
-    def test_negative_digit_of_a_2_64_radix_in_frame_order(self):
-        scheme = build_scheme([5, 1, 2**64, 1, 4], 2)
+    def test_negative_digit_of_the_widest_radix_in_frame_order(self):
+        scheme = build_scheme([5, 1, 65535, 1, 4], 2)
         digits = np.zeros((2, 5), dtype=np.int64)
         digits[1, 0] = 5
         digits[0, 2] = -3
         with pytest.raises(ValidationError) as info:
             pack_frames(digits, scheme)
-        message = f"index -3 out of range for dimension 2 (level {2**64}) at frame 0"
+        message = "index -3 out of range for dimension 2 (level 65535) at frame 0"
         assert str(info.value) == message
         assert outcome(lambda: frame_major_pack(digits, scheme)) == str(info.value)
 
 
 class TestUnpackOracle:
     @pytest.mark.parametrize("frames", [0, 1, 511, 512, 513])
-    @pytest.mark.parametrize("name", UNPACK_SCHEMES)
+    @pytest.mark.parametrize("name", RADIX_SCHEMES)
     def test_matches_column_divmod(self, name, frames):
-        scheme = build_scheme(*UNPACK_SCHEMES[name])
+        scheme = build_scheme(*RADIX_SCHEMES[name])
         rng = np.random.default_rng(frames)
         top = np.array([p - 1 for p in scheme.group_products], dtype=np.uint64)
         random = np.stack(
             [rng.integers(0, t, size=frames, dtype=np.uint64, endpoint=True) for t in top], axis=1
         )
         for tokens in (random, np.tile(top, (frames, 1))):  # random, and each group's largest
-            assert same(unpack_frames(tokens, scheme), column_divmod_unpack(tokens, scheme))
+            expected = column_divmod_unpack(tokens, scheme)
+            # as a library caller may give them, and in the token dtype, as a token file holds them
+            for given in (tokens, tokens.astype(scheme.token_dtype)):
+                assert same_values(unpack_frames(given, scheme), expected, scheme.token_dtype)
 
 
 class TestFsqOracles:
@@ -386,16 +380,16 @@ class TestOneDigitRule:
         assert outcome(lambda: pack_frames(digits, scheme)) == message
         assert outcome(lambda: fsq_dequantize(digits.T, scheme.levels)) == message
 
-    @pytest.mark.parametrize("name", PACK_SCHEMES)
+    @pytest.mark.parametrize("name", RADIX_SCHEMES)
     def test_same_message_for_the_same_digits(self, name):
-        radices, group_size = PACK_SCHEMES[name]
+        radices, group_size = RADIX_SCHEMES[name]
         scheme = build_scheme(radices, group_size)
         rng = np.random.default_rng(11)
         for trial in range(20):
             digits = random_digits(radices, 6, np.int64, seed=trial)
             for _ in range(1 + trial % 3):
                 f, d = rng.integers(6), rng.integers(len(radices))
-                digits[f, d] = rng.choice([-1, radices[d]]) if radices[d] < 2**63 else -1
+                digits[f, d] = rng.choice([-1, radices[d]])
             packed = outcome(lambda: pack_frames(digits, scheme))
             assert isinstance(packed, str)
             dequantized = outcome(lambda: fsq_dequantize(np.ascontiguousarray(digits.T), scheme.levels))

@@ -153,7 +153,28 @@ class TestScheme:
 
     def test_product_overflow_rejected(self):
         with pytest.raises(ValueError, match="smaller group size"):
-            build_scheme([2**33, 2**33], group_size=2)
+            build_scheme([2] * 33, group_size=33)
+
+    def test_token_file_limits(self):
+        # a radix is a u16 and a token a u32 in the token file
+        assert build_scheme([65535], 1).token_dtype == np.uint16
+        with pytest.raises(ValueError, match=r"^radices above 65535 are not serializable \(got 65536\)$"):
+            build_scheme([65536], 1)
+        with pytest.raises(ValueError, match=r"^radices above 65535 are not serializable \(got 6700417\)$"):
+            build_scheme([641, 6700417], 2)  # 2**32 + 1 needs a radix above 65535
+        assert build_scheme([256] * 4, 4).token_dtype == np.uint32  # 2**32
+        # 2**32 + 4, the smallest vocabulary above 2**32 of radices up to 65535
+        with pytest.raises(ValueError, match=f"^group 0 vocabulary {2**32 + 4} exceeds the 32-bit token width"):
+            build_scheme([1321, 2501, 325, 4], 4)
+
+    @pytest.mark.parametrize(
+        "radices, group_size, dtype",
+        [([4] * 128, 7, np.uint16), ([2] * 16, 16, np.uint16), ([2] * 17, 17, np.uint32), ([2] * 17, 16, np.uint16)],
+    )
+    def test_token_dtype_is_the_narrowest_that_holds_every_vocabulary(self, radices, group_size, dtype):
+        scheme = build_scheme(radices, group_size)
+        assert scheme.token_dtype == dtype
+        assert pack_frames(np.zeros((1, len(radices)), dtype=np.int64), scheme).dtype == dtype
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -268,6 +289,7 @@ class TestFrames:
         for f in range(50):
             assert list(tokens[f]) == pack_frame(list(frames[f]), scheme)
         back = unpack_frames(tokens, scheme)
+        assert tokens.dtype == back.dtype == np.uint16
         np.testing.assert_array_equal(back, frames)
 
     def test_empty_stream(self):
@@ -329,15 +351,19 @@ class TestVocabularyBound:
         with pytest.raises(ValidationError, match="group 1 exceeds the group vocabulary 14"):
             run(np.array([[59, 14]], dtype=np.uint64))
 
-    def test_full_width_vocabulary_round_trips(self):
-        # 2**64 tokens per group: the all-ones frame packs to 2**64 - 1
-        scheme = build_scheme([2] * 64, group_size=64)
-        assert scheme.group_products == (1 << 64,)
-        frame = np.ones((1, 64), dtype=np.int64)
+    @pytest.mark.parametrize("bits", [16, 32])
+    def test_full_width_vocabulary_round_trips(self, bits):
+        # 2**bits tokens per group: the all-ones frame packs to the dtype's largest
+        scheme = build_scheme([2] * bits, group_size=bits)
+        assert scheme.group_products == (1 << bits,)
+        frame = np.ones((1, bits), dtype=np.int64)
         tokens = pack_frames(frame, scheme)
-        assert int(tokens[0, 0]) == (1 << 64) - 1
+        assert tokens.dtype == scheme.token_dtype == np.dtype(f"uint{bits}")
+        assert int(tokens[0, 0]) == (1 << bits) - 1
         stream = TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=2.5)
-        np.testing.assert_array_equal(unpack_frames(stream.tokens, scheme), frame)
+        back = unpack_frames(stream.tokens, scheme)
+        assert back.dtype == scheme.token_dtype
+        np.testing.assert_array_equal(back, frame)
 
 
 class TestTokenRate:
@@ -389,7 +415,8 @@ class TestTokenRate:
 INT_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64]
 NON_INT_DTYPES = [np.float64, np.float32, np.bool_]
 UNEVEN = build_scheme([5, 4, 3, 2, 7], group_size=3)  # products 60, 14
-FULL_WIDTH = build_scheme([2] * 64, group_size=64)  # product 2**64
+FULL_U16 = build_scheme([2] * 16, group_size=16)  # product 2**16
+FULL_U32 = build_scheme([2] * 32, group_size=32)  # product 2**32
 
 
 def outcome(call):
@@ -414,10 +441,10 @@ def token_cases(dtype):
         ("one group short", UNEVEN, [[0], [0]], width),
         ("one group over", UNEVEN, [[0, 0, 0]], width),
         ("no frames", UNEVEN, np.zeros((0, 2)), None),
-        ("full width, largest of dtype", FULL_WIDTH, [[big], [0]], None),
+        ("full width, largest of dtype", FULL_U32, [[big], [0]], None if big < 2**32 else (ValidationError, f"token {big} at frame 0, group 0 exceeds the group vocabulary {2**32}")),
         ("smallest of dtype", UNEVEN, [[low, 0]], None if low == 0 else (ValidationError, f"token {low} at frame 0, group 0 is negative")),
-        ("full width, smallest of dtype", FULL_WIDTH, [[0], [low]], None if low == 0 else (ValidationError, f"token {low} at frame 1, group 0 is negative")),
-        ("full width, no frames", FULL_WIDTH, np.zeros((0, 1)), None),
+        ("full width, smallest of dtype", FULL_U32, [[0], [low]], None if low == 0 else (ValidationError, f"token {low} at frame 1, group 0 is negative")),
+        ("full width, no frames", FULL_U32, np.zeros((0, 1)), None),
     ]
 
 
@@ -440,27 +467,48 @@ class TestOneTokenValidator:
         elif tokens.ndim == 2 and tokens.shape[1] == scheme.group_count:
             assert stream == (ValidationError, f"tokens must be integers, got dtype {tokens.dtype}")
 
-    def test_top_token_of_a_2_64_vocabulary_is_accepted(self):
-        tokens = np.array([[(1 << 64) - 1]], dtype=np.uint64)
-        stream = TokenStream(tokens=tokens, scheme=FULL_WIDTH, frame_rate_hz=2.5)
-        assert int(stream.tokens[0, 0]) == (1 << 64) - 1
-        np.testing.assert_array_equal(unpack_frames(tokens, FULL_WIDTH), np.ones((1, 64)))
+    @pytest.mark.parametrize("scheme", [FULL_U16, FULL_U32], ids=["2**16", "2**32"])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64], ids=lambda d: np.dtype(d).name)
+    def test_top_token_of_a_full_vocabulary_is_accepted(self, scheme, dtype):
+        top = scheme.group_products[0] - 1
+        tokens = np.array([[top]], dtype=dtype)
+        stream = TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=2.5)
+        assert stream.tokens.dtype == scheme.token_dtype
+        assert int(stream.tokens[0, 0]) == top
+        np.testing.assert_array_equal(unpack_frames(tokens, scheme), np.ones((1, scheme.dim)))
 
-    @pytest.mark.parametrize("scheme", [build_scheme([4] * 7, 7), FULL_WIDTH], ids=["16384", "2**64"])
-    def test_negative_token_is_named_as_given(self, scheme):
-        # int64 -1 once wrapped to 2**64 - 1: named so, or accepted as the top token
+    @pytest.mark.parametrize("scheme", [build_scheme([4] * 7, 7), FULL_U16, FULL_U32], ids=["16384", "2**16", "2**32"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64], ids=lambda d: np.dtype(d).name)
+    def test_negative_token_is_named_as_given(self, scheme, dtype):
+        # -1 narrowed to the token dtype would be its largest value: at a full
+        # vocabulary, a valid token
         with pytest.raises(ValidationError, match="^token -1 at frame 0, group 0 is negative$"):
-            TokenStream(np.array([[-1]]), scheme, 2.5)
+            TokenStream(np.array([[-1]], dtype=dtype), scheme, 2.5)
+        with pytest.raises(ValidationError, match="^token -1 at frame 0, group 0 is negative$"):
+            unpack_frames(np.array([[-1]], dtype=dtype), scheme)
+
+    def test_wide_token_is_compared_before_it_is_narrowed(self):
+        # 2**32 + 5 as uint32 would be 5, a valid token
+        tokens = np.array([[7], [2**32 + 5]], dtype=np.uint64)
+        message = f"^token {2**32 + 5} at frame 1, group 0 exceeds the group vocabulary {2**32}$"
+        with pytest.raises(ValidationError, match=message):
+            TokenStream(tokens, FULL_U32, 2.5)
+        with pytest.raises(ValidationError, match=message):
+            unpack_frames(tokens, FULL_U32)
 
     @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
-    def test_stream_stores_uint64_and_unpacks_like_uint64(self, dtype):
+    def test_stream_stores_the_token_dtype_and_unpacks_alike(self, dtype):
         tokens = np.array([[59, 13], [7, 0]], dtype=dtype)
         stream = TokenStream(tokens=tokens, scheme=UNEVEN, frame_rate_hz=2.5)
-        assert stream.tokens.dtype == np.uint64
+        assert stream.tokens.dtype == UNEVEN.token_dtype == np.uint16
         np.testing.assert_array_equal(stream.tokens, tokens)
-        np.testing.assert_array_equal(
-            unpack_frames(tokens, UNEVEN), unpack_frames(tokens.astype(np.uint64), UNEVEN)
-        )
+        back = unpack_frames(tokens, UNEVEN)
+        assert back.dtype == np.uint16
+        np.testing.assert_array_equal(back, unpack_frames(tokens.astype(np.uint64), UNEVEN))
+
+    def test_stream_keeps_an_array_of_the_token_dtype(self):
+        tokens = np.array([[59, 13], [7, 0]], dtype=np.uint16)
+        assert TokenStream(tokens=tokens, scheme=UNEVEN, frame_rate_hz=2.5).tokens is tokens
 
 
 class TestPackDigits:
@@ -521,25 +569,20 @@ class TestPackDigits:
         with pytest.raises(ValidationError, match=f"indices must be integers, got dtype {np.dtype(dtype)}"):
             pack_frames(frames, build_scheme([4, 4], 2))
 
-    def test_radix_of_2_64_constructs(self):
-        scheme = build_scheme([2**64], 1)
-        assert scheme.radices == (2**64,)
-        assert scheme.group_products == (2**64,)
-
     @pytest.mark.parametrize(
         "radices, group_size",
-        [([2**64], 1), ([1, 2**64], 2), ([2**64, 1], 2), ([3, 2**64], 1), ([2**63 + 1], 1), ([5, 1, 2**64, 1, 4], 2)],
+        [([65535], 1), ([1, 65535], 2), ([65535, 1], 2), ([3, 65535], 1), ([65535, 65535], 2), ([5, 1, 65535, 1, 4], 2)],
     )
-    def test_radix_above_2_63_round_trips(self, radices, group_size):
+    def test_widest_radix_round_trips(self, radices, group_size):
         scheme = build_scheme(radices, group_size)
         rows = [[r - 1 for r in radices], [0] * len(radices), [r // 2 for r in radices]]
         frames = np.array(rows, dtype=np.uint64)
         tokens = pack_frames(frames, scheme)
         assert tokens.tolist() == [pack_frame(row, scheme) for row in rows]
         back = unpack_frames(tokens, scheme)
-        assert back.dtype == np.uint64
+        assert back.dtype == scheme.token_dtype
         np.testing.assert_array_equal(back, frames)
-        # a negative digit wraps to 2**63 or more, below these radices: it is compared as given
+        # a negative digit narrowed to the token dtype would be in range: it is compared as given
         d = radices.index(max(radices))
         signed = np.zeros((1, len(radices)), dtype=np.int64)
         signed[0, d] = np.iinfo(np.int64).min
