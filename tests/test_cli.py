@@ -638,6 +638,32 @@ class TestBlocks:
         assert f"frame {2 * B + 2}" in capsys.readouterr().err
 
 
+class TestTokenDtype:
+    """The commands hand TokenStream tokens in the scheme's token dtype, and it keeps them."""
+
+    @pytest.mark.parametrize("name", SCHEMES)
+    def test_streams_keep_their_token_dtype_array(self, tmp_path, monkeypatch, capsys, name):
+        levels, group_size = SCHEMES[name]
+        cfg = write_config(tmp_path / "c.cfg", levels, group_size)
+        feat, tok, back = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "b.jdf"
+        write_features(feat, B + 1, channels=len(levels))
+        kept = []
+
+        def recorded(tokens, scheme, frame_rate_hz):
+            stream = TokenStream(tokens, scheme, frame_rate_hz)
+            kept.append((tokens, stream.tokens))
+            return stream
+
+        monkeypatch.setattr("jdtok.cli.TokenStream", recorded)
+        monkeypatch.setattr("jdtok.fileio.TokenStream", recorded)
+        assert main(["tokenize", "--config", cfg, "--in", str(feat), "--out", str(tok)]) == 0
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 0
+        dtype = build_scheme(levels, group_size).token_dtype
+        # tokenize's own array, then the file's payload: no uint64 array, no copy
+        assert [given.dtype for given, _ in kept] == [dtype, dtype]
+        assert all(stored is given for given, stored in kept)
+
+
 class TestPipes:
     """A stream read from a pipe gives the bytes of the same stream read from its file."""
 
