@@ -133,30 +133,17 @@ class DaamParams:
         return _softplus(self.log_scales) + _EPS
 
     @classmethod
-    def init(
-        cls,
-        k: int = 4,
-        gate_strength: float = DEFAULT_GATE_STRENGTH,
-        mean_offsets=None,
-        log_scales=None,
-    ) -> "DaamParams":
+    def init(cls, k: int = 4) -> "DaamParams":
         """Default initialization with ``k`` components, an integer in [1, MAX_COMPONENTS].
 
-        ``mean_offsets`` and ``log_scales``, when given, replace the default
-        values and must hold ``k`` entries each.  Both checks come before any
-        array is allocated, so a hostile ``k`` costs nothing.
+        ``k`` is checked before any array is allocated, so a hostile ``k``
+        costs nothing.  Other offsets, log-scales or strengths are the
+        constructor's arguments.
         """
         k = as_integer("k", k)
         if not 1 <= k <= MAX_COMPONENTS:
             raise ValueError(f"k must be in [1, {MAX_COMPONENTS}], got {k}")
-        for name, given in (("mean_offsets", mean_offsets), ("log_scales", log_scales)):
-            if given is not None and len(given) != k:
-                raise ValueError(f"{name} has {len(given)} entries but k = {k}")
-        return cls(
-            mean_offsets=np.zeros(k) if mean_offsets is None else mean_offsets,
-            log_scales=np.full(k, np.log(0.5)) if log_scales is None else log_scales,
-            gate_strength=gate_strength,
-        )
+        return cls(np.zeros(k), np.full(k, np.log(0.5)))
 
 
 def _check_signal(x: np.ndarray) -> None:

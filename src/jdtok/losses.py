@@ -47,7 +47,9 @@ def jepa_masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> f
     summed over masked frames and channels, divided by (masked count * C).
     Visible frames never enter the computation, so perturbing them leaves the
     loss bit-identical; the target is treated as a constant (stop-gradient
-    contract), so no gradient with respect to it is ever defined here.
+    contract), so no gradient with respect to it is ever defined here.  A
+    NaN or infinite value in a masked frame gives a non-finite result
+    without a warning: inf - inf is nan.
     """
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
@@ -62,7 +64,8 @@ def jepa_masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> f
     n_mask = int(np.count_nonzero(masked))
     if n_mask == 0:
         raise ValueError("empty mask set: no masked positions to score")
-    diff = pred[:, masked] - target[:, masked]
+    with np.errstate(invalid="ignore"):
+        diff = pred[:, masked] - target[:, masked]
     return float(np.sum(diff * diff) / (n_mask * pred.shape[0]))
 
 
@@ -112,7 +115,12 @@ def _reflect_pad(signals, fft_size: int) -> np.ndarray:
             f"input of {length} samples is shorter than the fft size {fft_size}"
         )
     pad = fft_size // 2
-    return np.pad(np.stack(signals), ((0, 0), (pad, pad)), mode="reflect")
+    out = np.empty((len(signals), length + 2 * pad), np.result_type(*signals))
+    for row, signal in zip(out, signals):
+        row[pad : pad + length] = signal
+        row[:pad] = signal[pad:0:-1]
+        row[pad + length :] = signal[-2 : -pad - 2 : -1]
+    return out
 
 
 def _frames(padded: np.ndarray, padded_fft: int, fft_size: int, hop: int) -> np.ndarray:

@@ -127,6 +127,16 @@ class TestTokenize:
         write_features(feat, 2)
         assert main(["tokenize", "--config", str(cfg), "--in", str(feat), "--out", str(tmp_path / "t.jdt")]) == 2
 
+    def test_in_and_out_may_name_one_file(self, tmp_path, capsys):
+        # the whole input is read before the output is opened, so a reader
+        # and writer that stream blocks must not overwrite unread input
+        feat, tok, same = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "same"
+        write_features(feat, 2500)
+        same.write_bytes(feat.read_bytes())
+        assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 0
+        assert main(["tokenize", "--in", str(same), "--out", str(same)]) == 0
+        assert same.read_bytes() == tok.read_bytes()
+
 
 class TestDetokenize:
     def test_tampered_token_exits_4(self, tmp_path, capsys):
@@ -171,6 +181,16 @@ class TestDetokenize:
         assert tok1.read_bytes() == tok2.read_bytes()
         assert back1.read_bytes() == back2.read_bytes()
 
+    def test_in_and_out_may_name_one_file(self, tmp_path, capsys):
+        # as for tokenize: the whole token file is read before the output is opened
+        feat, tok, back, same = (tmp_path / name for name in ("f.jdf", "t.jdt", "b.jdf", "same"))
+        write_features(feat, 2500)
+        assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 0
+        same.write_bytes(tok.read_bytes())
+        assert main(["detokenize", "--in", str(tok), "--out", str(back)]) == 0
+        assert main(["detokenize", "--in", str(same), "--out", str(same)]) == 0
+        assert same.read_bytes() == back.read_bytes()
+
 
 class TestInfo:
     def test_default_report(self, capsys):
@@ -212,14 +232,32 @@ class TestInfo:
         assert captured.err == f"error: {key} must be >= 1, got 0\n"
 
 
-    @pytest.mark.parametrize("text", ["daam.alpha = nan", "lambda_stft = inf", "temperature = -inf"])
-    def test_non_finite_scalar_exits_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("lambda_stft = inf", "lambda_stft must be finite, got inf"),
+            ("lambda_stft = -inf", "lambda_stft must be finite, got -inf"),
+            ("mask.ratio = nan", "mask_ratio must be in [0, 1], got nan"),
+        ],
+    )
+    def test_non_finite_scalar_exits_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(text + "\n")
         assert main(["info", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be finite" in captured.err
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key", ["temperature", "lambda_gan", "daam.k", "daam.alpha", "daam.delta", "daam.nu"]
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"{key} = 1.0\n")
+        assert main(["info", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown configuration key '{key}'\n"
 
 
 class TestVocabSummary:
@@ -778,9 +816,10 @@ class TestMemory:
         assert code == 0
         assert peak < 3 * self.PAYLOAD
 
-    def test_score_below_seven_payloads(self, tmp_path, capsys):
-        # the two inputs plus a stacked and a padded copy of both in float32:
-        # about 6 payloads; float64 copies of both inputs peaked near 10
+    def test_score_below_six_payloads(self, tmp_path, capsys, monkeypatch):
+        # the two inputs, a padded copy of both in float32 and one block's
+        # frames and spectra per thread: about 5.5 payloads on two threads
+        report_cpus(monkeypatch, 2)  # the per-thread share grows with the CPUs
         samples = 10 * 24000
         payload = 4 * samples  # one float32 waveform
         rng = np.random.default_rng(0)
@@ -790,7 +829,7 @@ class TestMemory:
         write_feature_file(hyp, (x + 0.1 * rng.standard_normal(x.shape)).astype(np.float32), 24000.0)
         code, peak = traced_peak(["score", "--ref", str(ref), "--hyp", str(hyp)])
         assert code == 0
-        assert peak < 7 * payload
+        assert peak < 6 * payload
 
 
 class TestHostileTokenHeader:
@@ -895,17 +934,6 @@ class TestConfigGroupSize:
         cfg.write_text("levels = [4, 4, 4]\n")  # group_size defaults to 7
         assert main(["info", "--config", str(cfg)]) == 2
         assert "group_size" in capsys.readouterr().err
-
-
-class TestConfigGateComponents:
-    @pytest.mark.parametrize("k", [257, 10**6, 10**9])
-    def test_huge_k_exits_2_in_bounded_memory(self, tmp_path, capsys, k):
-        cfg = tmp_path / "k.cfg"
-        cfg.write_text(f"daam.k = {k}\n")
-        code, peak = traced_peak(["info", "--config", str(cfg)])
-        assert code == 2
-        assert peak < 1 << 20
-        assert "256" in capsys.readouterr().err
 
 
 class TestFullWidthVocabulary:

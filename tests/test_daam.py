@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jdtok.daam import (
+    DEFAULT_GATE_STRENGTH,
     MAX_COMPONENTS,
     DaamParams,
     apply_gate,
@@ -150,7 +151,7 @@ class TestTemporalStats:
 
     @staticmethod
     def assert_gate_uses_stats(x):
-        for params in (DaamParams.init(1), DaamParams.init(3, mean_offsets=[-0.5, 0.0, 0.4])):
+        for params in (DaamParams.init(1), DaamParams([-0.5, 0.0, 0.4], np.full(3, np.log(0.5)))):
             np.testing.assert_allclose(daam_gate(x, params), gate_from_stats(x, params), rtol=1e-12)
 
     def test_constant_hits_variance_floor(self):
@@ -464,15 +465,11 @@ class TestParams:
     def test_init_accepts_numpy_integers(self):
         assert DaamParams.init(np.int64(3)) == DaamParams.init(3)
 
-    def test_init_with_given_values(self):
-        p = DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5])
-        np.testing.assert_array_equal(p.mean_offsets, [0.1, -0.1])
-        np.testing.assert_array_equal(p.log_scales, [0.0, 0.5])
-        np.testing.assert_array_equal(DaamParams.init(2, log_scales=[0.0, 0.5]).mean_offsets, [0, 0])
-        with pytest.raises(ValueError, match="mean_offsets has 3 entries"):
-            DaamParams.init(2, mean_offsets=[0.0] * 3)
-        with pytest.raises(ValueError, match="log_scales has 1 entries"):
-            DaamParams.init(log_scales=[0.0])
+    def test_init_takes_only_k(self):
+        standard = DaamParams(np.zeros(4), np.full(4, np.log(0.5)), DEFAULT_GATE_STRENGTH)
+        assert DaamParams.init() == standard
+        with pytest.raises(TypeError):
+            DaamParams.init(2, mean_offsets=[0.1, -0.1])
 
     def test_keeps_a_copy_of_its_arrays(self):
         offsets, log_scales = np.zeros(3), np.full(3, 0.5)
@@ -492,15 +489,15 @@ class TestParams:
         assert DaamParams.init(4) == p
 
     def test_equal_and_hashed_by_value(self):
-        p = DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5])
+        p = DaamParams([0.1, -0.1], [0.0, 0.5])
         twin = DaamParams(np.array([0.1, -0.1]), [0.0, 0.5], 0.05)
         assert p == twin
         assert hash(p) == hash(twin)
         assert len({p, twin}) == 1
         for other in (
-            DaamParams.init(2, mean_offsets=[0.1, -0.2], log_scales=[0.0, 0.5]),
-            DaamParams.init(2, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.4]),
-            DaamParams.init(2, gate_strength=0.1, mean_offsets=[0.1, -0.1], log_scales=[0.0, 0.5]),
+            DaamParams([0.1, -0.2], [0.0, 0.5]),
+            DaamParams([0.1, -0.1], [0.0, 0.4]),
+            DaamParams([0.1, -0.1], [0.0, 0.5], 0.1),
             DaamParams.init(3),
         ):
             assert other != p

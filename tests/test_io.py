@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 import jdtok.config
 from jdtok import fileio, losses
 from jdtok.config import _KEYS, CodecConfig, load_config, parse_config
-from jdtok.daam import DaamParams
 from jdtok.errors import ConfigError, FormatError, ValidationError
 from jdtok.fileio import (
     FEATURE_MAGIC,
@@ -378,7 +377,7 @@ class TestConfig:
         assert cfg.hop == 9600
         assert cfg.levels.dim == 128
         assert cfg.group_size == 7
-        assert cfg.daam.num_components == 4
+        assert cfg.lambda_stft == 2.0
 
     def test_canonical_file_parses(self):
         from pathlib import Path
@@ -386,7 +385,7 @@ class TestConfig:
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
         assert cfg.levels.levels == (4,) * 128
         assert cfg.lambda_stft == 2.0
-        assert cfg.lambda_gan == 0.1
+        assert cfg.mask.mask_ratio == 0.5
         assert cfg.mask.span_max is None
 
     def test_round_trip_values(self):
@@ -395,10 +394,7 @@ class TestConfig:
         hop = 320
         levels = [4, 4, 8]
         group_size = 3
-        daam.k = 2
-        daam.delta = [0.1, -0.1]
-        daam.nu = [0.0, 0.5]
-        daam.alpha = 0.2
+        lambda_stft = 0.5
         mask.ratio = 0.3
         mask.span_min = 1
         mask.span_max = 9
@@ -406,9 +402,7 @@ class TestConfig:
         cfg = parse_config(text)
         assert cfg.sample_rate == 16000
         assert cfg.levels.levels == (4, 4, 8)
-        np.testing.assert_array_equal(cfg.daam.mean_offsets, [0.1, -0.1])
-        np.testing.assert_array_equal(cfg.daam.log_scales, [0.0, 0.5])
-        assert cfg.daam.gate_strength == 0.2
+        assert cfg.lambda_stft == 0.5
         assert cfg.mask.mask_ratio == 0.3
         assert cfg.mask.span_max == 9
 
@@ -420,11 +414,15 @@ class TestConfig:
         "text",
         [
             "unknown_key = 3",
+            # keys that were parsed and stored, but read by no command
+            "temperature = 1.0",
+            "lambda_gan = 0.1",
+            "daam.k = 4",
+            "daam.alpha = 0.05",
+            "daam.delta = [0.0, 0.0, 0.0, 0.0]",
+            "daam.nu = [0.0, 0.0, 0.0, 0.0]",
             "sample_rate = notanumber",
             "levels = 4",
-            "daam.k = 2\ndaam.delta = [0.0, 0.0, 0.0]",
-            "daam.k = 2\ndaam.delta = [0.0, 0.0, 0.0]\ndaam.nu = [0.0, 0.0, 0.0]",
-            "daam.nu = [0.0, 0.0, 0.0]",  # daam.k defaults to 4
             "sample_rate = 1\nsample_rate = 2",
             "mask.ratio = 1.5",
             "just some words",
@@ -479,12 +477,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape("radices above 65535 are not serializable (got 65536)")):
             parse_config("levels = [4, 65536]\ngroup_size = 1\n")
 
-    def test_temperature_accepted_but_inert(self):
-        cfg = parse_config("temperature = 0.7")
-        assert cfg.temperature == 0.7
-        # nothing else changes relative to defaults
-        assert cfg.levels.levels == CodecConfig().levels.levels
-
 
 # a non-default value for every configuration key, the attribute of the parsed
 # CodecConfig it must land in, and that attribute's expected value
@@ -494,12 +486,6 @@ KEY_SAMPLES = {
     "levels": ("[4, 4, 8, 3, 5, 6, 7]", "levels", FsqLevels((4, 4, 8, 3, 5, 6, 7))),
     "group_size": ("8", "group_size", 8),
     "lambda_stft": ("3.5", "lambda_stft", 3.5),
-    "lambda_gan": ("0.25", "lambda_gan", 0.25),
-    "temperature": ("0.7", "temperature", 0.7),
-    "daam.k": ("3", "daam.num_components", 3),
-    "daam.alpha": ("0.2", "daam.gate_strength", 0.2),
-    "daam.delta": ("[0.1, -0.2, 0.3, 0.0]", "daam.mean_offsets", [0.1, -0.2, 0.3, 0.0]),
-    "daam.nu": ("[0.0, 0.5, 1.0, -1.0]", "daam.log_scales", [0.0, 0.5, 1.0, -1.0]),
     "mask.ratio": ("0.3", "mask.mask_ratio", 0.3),
     "mask.span_min": ("3", "mask.span_min", 3),
     "mask.span_max": ("9", "mask.span_max", 9),
@@ -538,18 +524,16 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "key, name",
+        "key, message",
         [
-            ("lambda_stft", "lambda_stft"),
-            ("lambda_gan", "lambda_gan"),
-            ("temperature", "temperature"),
-            ("daam.alpha", "gate_strength"),
+            ("lambda_stft", "lambda_stft must be finite"),
+            ("mask.ratio", "mask_ratio must be in [0, 1]"),
         ],
     )
-    def test_non_finite_scalar_is_a_config_error(self, key, name, value):
+    def test_non_finite_scalar_is_a_config_error(self, key, message, value):
         with pytest.raises(ConfigError) as info:
             parse_config(f"{key} = {value}")
-        assert str(info.value) == f"{name} must be finite, got {float(value)}"
+        assert str(info.value) == f"{message}, got {float(value)}"
 
     FLOAT_KEYS = sorted(k for k, (kind, array, *_) in _KEYS.items() if kind is float and not array)
 
@@ -565,9 +549,8 @@ class TestConfigKeys:
         assert cfg == twin
         assert hash(cfg) == hash(twin)
 
-    def test_loss_weights_default_to_the_losses_module(self):
+    def test_loss_weight_defaults_to_the_losses_module(self):
         assert CodecConfig().lambda_stft == losses.DEFAULT_LAMBDA_STFT
-        assert CodecConfig().lambda_gan == losses.DEFAULT_LAMBDA_GAN
 
 
 class TestConfigDefaults:
@@ -581,9 +564,9 @@ class TestConfigDefaults:
         path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
         assert load_config(path) == CodecConfig()
 
-    def test_unset_gate_keys_take_the_gate_defaults(self):
-        cfg = parse_config("daam.k = 2\ndaam.alpha = 0.2")
-        assert cfg.daam == DaamParams.init(2, gate_strength=0.2)
+    def test_unset_mask_keys_take_the_mask_defaults(self):
+        cfg = parse_config("mask.span_min = 3\nmask.ratio = 0.2")
+        assert cfg.mask == MaskConfig(mask_ratio=0.2, span_min=3)
 
     def test_every_compared_field_is_compared(self):
         base = CodecConfig()
@@ -593,9 +576,6 @@ class TestConfigDefaults:
             "levels": FsqLevels((4,) * 127),
             "group_size": 8,
             "lambda_stft": 1.0,
-            "lambda_gan": 0.2,
-            "temperature": 0.5,
-            "daam": DaamParams.init(4, log_scales=[0.0, 0.0, 0.0, 0.1]),
             "mask": MaskConfig(span_min=3),
         }
         assert set(others) == {f.name for f in dataclasses.fields(CodecConfig) if f.compare}
@@ -613,7 +593,7 @@ class TestConfigScheme:
     def test_scheme_is_derived_not_given(self):
         cfg = CodecConfig()
         assert "scheme" not in repr(cfg)
-        twin = CodecConfig(daam=cfg.daam)
+        twin = CodecConfig()
         object.__setattr__(twin, "scheme", build_scheme(cfg.levels, 1))
         assert twin == cfg
         with pytest.raises(TypeError):
@@ -630,8 +610,8 @@ def _seed_files():
         tokens = np.array([[0, 2, 1], [11, 4, 0], [5, 3, 1]], dtype=np.uint64)
         write_token_file(tok, TokenStream(tokens, scheme, 2.5))
         config = (
-            b"levels = [4, 3, 5]\ngroup_size = 2\ndaam.k = 2\n"
-            b"daam.delta = [0.0, 0.5]\nmask.ratio = 0.25  # comment\n"
+            b"levels = [4, 3, 5]\ngroup_size = 2\nlambda_stft = 0.5\n"
+            b"mask.span_max = 9\nmask.ratio = 0.25  # comment\n"
         )
         return {"feature": feat.read_bytes(), "token": tok.read_bytes(), "config": config}
 

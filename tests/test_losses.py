@@ -69,6 +69,16 @@ class TestMaskedMse:
         with pytest.raises(ValueError):
             jepa_masked_mse(np.zeros((1, 4)), np.zeros((1, 5)), np.ones(4))
 
+    @pytest.mark.parametrize("bad_target", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad_pred", ["nan", "inf", "-inf"])
+    def test_non_finite_pair_without_a_warning(self, bad_pred, bad_target):
+        # warnings are errors here: inf - inf warned
+        pred, target = np.zeros((2, 4)), np.ones((2, 4))
+        pred[1, 2], target[1, 2] = float(bad_pred), float(bad_target)
+        error = float(bad_pred) - float(bad_target)
+        got = jepa_masked_mse(pred, target, np.array([1, 0, 0, 1]))
+        np.testing.assert_equal(got, (error * error + 3.0) / 4)
+
 
 class TestL1:
     def test_identical(self):
@@ -100,7 +110,7 @@ class TestL1:
 
 
 def loop_reflect_pad(signals, fft_size):
-    """Oracle: the float64 row-by-row reflect fill that ``_reflect_pad`` replaced."""
+    """Oracle: ``_reflect_pad``'s row-by-row reflect fill, in float64."""
     length = signals[0].size
     if length < fft_size:
         raise ValidationError(
@@ -457,6 +467,17 @@ class TestAgainstTheFloat64Oracles:
         padded = _reflect_pad(pair, fft_size)
         assert padded.dtype == np.result_type(*pair)
         assert np.array_equal(padded.astype(np.float64), loop_reflect_pad(pair, fft_size))
+
+    def test_reflect_pad_allocates_only_its_output(self):
+        # no copy of the inputs is alive while the output is filled
+        pair = typed_pair(PAIR_DTYPES["float32"], 240_000)
+        tracemalloc.start()
+        try:
+            padded = _reflect_pad(pair, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded.nbytes + (64 << 10)
 
     @pytest.mark.parametrize("n", sorted({n for _, n in oracle_lengths(ORACLE_FFTS)}))
     @pytest.mark.parametrize("name", PAIR_DTYPES)
