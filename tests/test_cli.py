@@ -936,6 +936,19 @@ class TestConfigGroupSize:
         assert "group_size" in capsys.readouterr().err
 
 
+class TestConfigGateComponents:
+    @pytest.mark.parametrize("k", [257, 10**6, 10**9])
+    def test_huge_k_exits_2_in_bounded_memory(self, tmp_path, capsys, k):
+        # daam.k is no longer a key: an older config holding a hostile one is
+        # refused by name before any gate is built
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"daam.k = {k}\n")
+        code, peak = traced_peak(["info", "--config", str(cfg)])
+        assert code == 2
+        assert peak < 1 << 20
+        assert capsys.readouterr().err == "error: unknown configuration key 'daam.k'\n"
+
+
 class TestFullWidthVocabulary:
     def test_tokenize_exits_2_without_output_or_traceback(self, tmp_path):
         # [2] * 64 in one group: a 2**64 vocabulary, beyond the 32-bit width
