@@ -31,9 +31,16 @@ splitters, the entries that end each quarter of the table; the remaining
 log2(P) - 2 levels are passes of one gather and one comparison.  At 4
 levels, the default, the three splitters are the whole table: no gather.
 
-Only the snap loops over the distinct levels, since each level count has
-its own table; the lattice and the digit check are arithmetic on the level,
-a Python int when all dimensions share it, else broadcast as a float64
+Indices are digits in the narrowest unsigned dtype that holds the largest,
+max(L_d) - 1: uint8 up to 256 levels (the default's 4 included), uint16 up
+to 65536, then uint32 and uint64.  A 4-entry table's uint8 count is the
+index itself; a longer table's count gathers in intp and is cast once.
+Subtracting from such digits wraps (0 - 1 is 255 in uint8): widen first.
+
+Only the threshold count loops over the distinct levels, since each level
+count has its own table.  The lattice values, of a snap as of
+``fsq_dequantize``, and the digit check are arithmetic on the level, a
+Python int when all dimensions share it, else broadcast as a float64
 [D, 1] column (lattice) or compared row by row (a failed digit check).
 ``fsq_indices`` is the snap alone, with no lattice values: tokenizing needs
 only the integer codes.
@@ -178,50 +185,64 @@ def _thresholds(level: int, transform, dtype) -> np.ndarray:
     return table
 
 
+def _digit_dtype(level: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds ``level`` - 1, the largest digit."""
+    bits = (level - 1).bit_length()
+    if bits <= 8:
+        return np.dtype(np.uint8)
+    if bits <= 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32 if bits <= 32 else np.uint64)
+
+
 def _count_thresholds(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The number of ``table`` entries <= x, for each x: one binary search.
 
     Its top two levels count x against the three scalar splitters
     table[s - 1], table[2s - 1] and table[3s - 1], s = table.size / 4, in
-    uint8 through bool views: no gather and no cast.  Each further level
-    halves the step and makes one gather.
+    uint8 through bool views: no gather and no cast.  A 4-entry table is
+    done there, and its uint8 count is the index.  Each further level
+    halves the step and makes one gather in intp; the index is then cast
+    once to ``_digit_dtype(table.size)``, as wide as the level's digits,
+    since the table is padded to the next power of two.
     """
     step = table.size // 4
     count = (x >= table[step - 1]).view(np.uint8)
     count += (x >= table[2 * step - 1]).view(np.uint8)
     count += (x >= table[3 * step - 1]).view(np.uint8)
-    index = np.multiply(count, step, dtype=np.int64)
+    if step == 1:
+        return count
+    index = np.multiply(count, step, dtype=np.intp)
     while step > 1:
         step //= 2
         # index is a multiple of 2 * step, so index + step - 1 stays in the table
         above = x >= table[step - 1 :].take(index)
         index += above * step if step > 1 else above
-    return index
+    return index.astype(_digit_dtype(table.size))
 
 
 @functools.lru_cache(maxsize=16)
 def _level_tables(levels: tuple[int, ...], transform, dtype) -> tuple:
-    """(level, rows, table) for each distinct count of ``levels``; rows is a bool mask.
+    """(rows, table) for each distinct count of ``levels``; rows is a bool mask.
 
     Cached per level list, map and float width, at most 16 lists: a list
     with many distinct counts builds its tables once, not once per block.
     """
     lvl = np.asarray(levels)
     return tuple(
-        (level, lvl == level, _thresholds(level, transform, dtype))
-        for level in dict.fromkeys(levels)
+        (lvl == level, _thresholds(level, transform, dtype)) for level in dict.fromkeys(levels)
     )
 
 
 _TABLES_LOCK = threading.Lock()
 
 
-def _snap(x: np.ndarray, level: int, table: np.ndarray, with_values: bool) -> tuple:
-    """The indices of ``x``, and if ``with_values`` their lattice values, else None."""
-    index = _count_thresholds(x, table)
-    if not with_values:
-        return index, None
-    return index, _lattice(np.arange(level), level).take(index)
+def _level_operand(levels: FsqLevels):
+    """The level as ``_lattice`` takes it: an int when all dimensions share it, else a column."""
+    if len(set(levels.levels)) == 1:  # the usual case: a scalar, faster than a column
+        return levels.levels[0]
+    # each element meets the same correctly rounded level as a scalar would give it
+    return np.array(levels.levels, dtype=np.float64)[:, None]
 
 
 def _quantize(values, levels, transform, with_values: bool = True) -> tuple:
@@ -230,16 +251,12 @@ def _quantize(values, levels, transform, with_values: bool = True) -> tuple:
     with _TABLES_LOCK:  # one thread builds a new list's tables while the others wait
         tables = _level_tables(levels.levels, transform, values.dtype.type)
     if len(tables) == 1:  # the usual case: no gather or scatter of rows
-        level, _, table = tables[0]
-        return _snap(values, level, table, with_values)
-    # each level count has its own table: snap the rows sharing a level together
-    index = np.empty(values.shape, dtype=np.int64)
-    lattice = np.empty(values.shape) if with_values else None
-    for level, rows, table in tables:
-        index[rows], part = _snap(values[rows], level, table, with_values)
-        if with_values:
-            lattice[rows] = part
-    return index, lattice
+        index = _count_thresholds(values, tables[0][1])
+    else:  # each level count has its own table: snap the rows sharing a level together
+        index = np.empty(values.shape, dtype=_digit_dtype(max(levels.levels)))
+        for rows, table in tables:
+            index[rows] = _count_thresholds(values[rows], table)
+    return index, _lattice(index, _level_operand(levels)) if with_values else None
 
 
 def quantize_projected(
@@ -248,16 +265,19 @@ def quantize_projected(
     """Snap already-bounded [D, T] values to the nearest lattice point.
 
     No tanh is applied.  Returns (indices, lattice values); ties break toward
-    the lower index.  Lattice points are fixed points: quantizing the output
-    values again reproduces the indices exactly.
+    the lower index.  Indices are the narrowest unsigned dtype that holds
+    max(level) - 1 (uint8 up to 256 levels, uint16 up to 65536, else
+    uint32); values are float64.  Lattice points are fixed points:
+    quantizing the output values again reproduces the indices exactly.
     """
     return _quantize(values, levels, _identity)
 
 
 def fsq_indices(z: np.ndarray, levels) -> np.ndarray:
-    """The [D, T] int64 lattice indices of raw features after tanh, without their values.
+    """The [D, T] lattice indices of raw features after tanh, without their values.
 
-    Equal to ``fsq_quantize(z, levels)[0]``; tokenizing needs nothing more.
+    Equal to ``fsq_quantize(z, levels)[0]``, in the same narrowest unsigned
+    dtype that holds max(level) - 1; tokenizing needs nothing more.
     It calls ``fsq_quantize`` by its module name, so that the benchmark's
     tracer, which wraps that name, still times the snap as ``fsq.quantize_s``.
     """
@@ -269,8 +289,11 @@ def fsq_quantize(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Project raw [D, T] features through tanh and quantize to the lattice.
 
-    Returns (indices, quantized values).  With ``with_values=False`` no
-    values are built and None stands in for them.
+    Returns (indices, quantized values).  Indices are the narrowest unsigned
+    dtype that holds max(level) - 1 (uint8 up to 256 levels, uint16 up to
+    65536, else uint32), so widen them before subtracting; values are
+    float64.  With ``with_values=False`` no values are built and None
+    stands in for them.
     """
     return _quantize(z, levels, np.tanh, with_values)
 
@@ -309,9 +332,4 @@ def _checked_indices(indices, levels: FsqLevels) -> np.ndarray:
 def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
     """Map [D, T] integer lattice indices back to their lattice values."""
     levels = _as_levels(levels)
-    indices = _checked_indices(indices, levels)
-    if len(set(levels.levels)) == 1:  # the usual case: a scalar, faster than a column
-        level = levels.levels[0]
-    else:  # each element meets the same correctly rounded level as a scalar would give it
-        level = np.array(levels.levels, dtype=np.float64)[:, None]
-    return _lattice(indices, level)
+    return _lattice(_checked_indices(indices, levels), _level_operand(levels))

@@ -19,6 +19,7 @@ from jdtok.fsq import (
     fsq_quantize,
     quantize_projected,
 )
+from jdtok.radix import MAX_RADIX, build_scheme, pack_frames
 
 
 def argmin_oracle(values, levels):
@@ -30,6 +31,23 @@ def argmin_oracle(values, levels):
         idx[d] = np.argmin(np.abs(values[d][:, None] - b[None, :]), axis=1)
         val[d] = b[idx[d]]
     return idx, val
+
+
+# level lists around each digit-dtype edge: 256 and 65536 levels are the
+# last of uint8 and uint16; mixed lists take the width of their largest level
+DIGIT_LEVELS = {
+    "1": (1,),
+    "2": (2,),
+    "4x128": (4,) * 128,
+    "256": (256,),
+    "257": (257,),
+    "65535x2": (65535,) * 2,
+    "65536": (65536,),
+    "65537": (65537,),
+    "4,5x64": (4, 5) * 64,
+    "8,5,5,5x32": (8, 5, 5, 5) * 32,
+    "2..129": tuple(range(2, 130)),
+}
 
 
 def adversarial_values(level):
@@ -187,6 +205,28 @@ class TestQuantize:
                 one_idx, one_val = fn(z[d : d + 1], FsqLevels((level,)))
                 np.testing.assert_array_equal(idx[d], one_idx[0])
                 assert np.array_equal(val[d], one_val[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("levels", DIGIT_LEVELS.values(), ids=DIGIT_LEVELS)
+    def test_indices_take_the_narrowest_unsigned_dtype(self, levels, dtype):
+        top = max(levels)
+        digit = np.uint8 if top <= 256 else np.uint16 if top <= 65536 else np.uint32
+        rng = np.random.default_rng(top + len(levels))
+        z = (3 * rng.standard_normal((len(levels), 40))).astype(dtype)
+        bounded = np.tanh(z)  # in dtype: the projected snap's own input
+        scheme = build_scheme(levels, min(2, len(levels))) if top <= MAX_RADIX else None
+        for idx, val, projected in (
+            (*fsq_quantize(z, FsqLevels(levels)), np.tanh(z.astype(np.float64))),
+            (*quantize_projected(bounded, FsqLevels(levels)), bounded.astype(np.float64)),
+            (fsq_indices(z, levels), None, np.tanh(z.astype(np.float64))),
+        ):
+            expect_idx, expect_val = argmin_oracle(projected, levels)
+            assert idx.dtype == digit
+            np.testing.assert_array_equal(idx, expect_idx)
+            assert val is None or np.array_equal(val, expect_val)
+            if scheme is not None:  # within the token file's radix limit
+                tokens, expected = pack_frames(idx.T, scheme), pack_frames(expect_idx.T, scheme)
+                assert tokens.dtype == expected.dtype and np.array_equal(tokens, expected)
 
     def count_builds(self, monkeypatch):
         """A list that grows by each ``_thresholds`` call, from an empty cache on."""

@@ -11,7 +11,8 @@ was one expression with a temporary per operation; and the snap took its
 indices and values in one pass.  Each kernel must equal its old form exactly and name the same first
 bad value, in the one message and order of fsq's digit check.  The radix
 oracles compute in uint64 and int64, as the kernels once did: packed tokens
-and unpacked digits must equal theirs in value, in the scheme's token dtype.
+and unpacked digits must equal theirs in value, in the scheme's token dtype,
+and a threshold count its int64 oracle's, in the level's digit dtype.
 The CLI's token and lattice bytes of one seeded stream are pinned per scheme.
 """
 
@@ -28,6 +29,7 @@ from jdtok.fsq import (
     FsqLevels,
     _checked_indices,
     _count_thresholds,
+    _digit_dtype,
     _identity,
     _lattice,
     _thresholds,
@@ -262,9 +264,10 @@ class TestFsqOracles:
             near = [finite, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)]
             x = np.concatenate([*near, 3 * rng.standard_normal(600), [-30.0, 0.0, 30.0]])
             x = x.astype(dtype).reshape(1, -1)
-            assert same(_count_thresholds(x, table), multiply_count(x, table))
+            digit = _digit_dtype(level)
+            assert same_values(_count_thresholds(x, table), multiply_count(x, table), digit)
             empty = np.zeros((3, 0), dtype=dtype)
-            assert same(_count_thresholds(empty, table), multiply_count(empty, table))
+            assert same_values(_count_thresholds(empty, table), multiply_count(empty, table), digit)
 
     @pytest.mark.parametrize("level", [4, 5, 65535])
     def test_indices_of_a_frame_slice_match_a_contiguous_copy(self, level):
