@@ -228,6 +228,15 @@ class TestQuantize:
                 tokens, expected = pack_frames(idx.T, scheme), pack_frames(expect_idx.T, scheme)
                 assert tokens.dtype == expected.dtype and np.array_equal(tokens, expected)
 
+    @pytest.mark.parametrize(
+        "level, dtype",
+        [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+         (2**32, np.uint32), (2**32 + 1, np.uint64), (2**64, np.uint64)],
+    )
+    def test_digit_dtype_holds_the_largest_digit(self, level, dtype):
+        # beyond any table a snap can build, but a dtype, not numpy's object at 2**64
+        assert fsq._digit_dtype(level) == np.dtype(dtype)
+
     def count_builds(self, monkeypatch):
         """A list that grows by each ``_thresholds`` call, from an empty cache on."""
         builds = []
