@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the FSQ threshold tables against tanh and a brute-force argmin.
+"""Check the FSQ threshold tables against tanh and a brute-force argmin, and the float32 lattice.
 
 1. Every finite float32, in ascending order and in chunks: np.tanh of its
    float64 value must be non-decreasing, which the tables' exactness rests
@@ -10,13 +10,19 @@
    "strictly nearer lattice point j + 1 than j" is false one float64 below
    tau_j and true at tau_j), and each float32 entry is tau_j rounded up
    (the smallest float32 >= tau_j).
+3. Every digit of every level L = 1..65535, the levels a float32 ``out``
+   of ``fsq_dequantize`` takes: the float32 lattice must be bit-equal to
+   the float64 lattice rounded to float32 (compared as uint32, so +0 and
+   -0 differ), once with L as a scalar and once in a [D, 1] column of 16
+   consecutive levels.
 
 Float64 inputs get only the local check in tests/test_fsq.py, every float
 within 2**16 ulps of each threshold: there are too many to sweep.
 
-The sweep covers about 4.3e9 floats and took 5 min 45 s of wall time
-(4 min 24 s of CPU) on a shared 2-core Xeon; the table checks take under a
-second.  Exits 1 on the first failure.
+The float32 sweep covers about 4.3e9 floats and took 5 min 45 s of wall
+time (4 min 24 s of CPU) on a shared 2-core Xeon; the lattice check covers
+about 2.1e9 values twice and took 36 s (numpy 2.4.6); the table checks take
+under a second.  Exits 1 on the first failure.
 
 Example:
     PYTHONPATH=src python3 scripts/fsq_threshold_check.py
@@ -26,9 +32,19 @@ import sys
 
 import numpy as np
 
-from jdtok.fsq import FsqLevels, _identity, _thresholds, fsq_boundaries, fsq_quantize
+from jdtok.fsq import (
+    _FLOAT32_LEVELS,
+    FsqLevels,
+    _digit_dtype,
+    _identity,
+    _thresholds,
+    fsq_boundaries,
+    fsq_dequantize,
+    fsq_quantize,
+)
 
 CHUNK = 1 << 20  # floats per sweep step: about 60 MB of temporaries
+COLUMN_ROWS = 16  # consecutive levels per mixed-level call
 MAGNITUDE32 = np.int32(2**31 - 1)
 
 
@@ -97,6 +113,35 @@ def check_table(level: int, transform) -> bool:
     return not failed
 
 
+def same_bits(levels, digits) -> bool:
+    """The float32 lattice of ``fsq_dequantize(out=)`` is float32(float64 lattice), bit for bit."""
+    got = fsq_dequantize(digits, levels, out=np.empty(digits.shape, np.float32))
+    want = fsq_dequantize(digits, levels).astype(np.float32)
+    if np.array_equal(got.view(np.uint32), want.view(np.uint32)):  # +0 and -0 differ
+        return True
+    d, t = np.argwhere(got.view(np.uint32) != want.view(np.uint32))[0]
+    print(
+        f"FAIL level {levels.levels[d]} digit {digits[d, t]}: float32 lattice "
+        f"{got[d, t]!r}, float64 rounded {want[d, t]!r}"
+    )
+    return False
+
+
+def check_float32_lattice() -> bool:
+    top = _FLOAT32_LEVELS
+    for level in range(1, top + 1):  # a scalar level
+        if not same_bits(FsqLevels((level,)), np.arange(level, dtype=_digit_dtype(level))[None]):
+            return False
+    for lo in range(1, top + 1, COLUMN_ROWS):  # a [D, 1] column of mixed levels
+        levels = np.arange(lo, min(lo + COLUMN_ROWS, top + 1))
+        # every digit of each row's level, the last one repeated up to the widest row
+        digits = np.minimum(np.arange(levels[-1]), levels[:, None] - 1).astype(np.uint16)
+        if not same_bits(FsqLevels(tuple(levels)), digits):
+            return False
+    print(f"ok    float32 lattice for every digit of L = 1..{top}, scalar and column levels")
+    return True
+
+
 def main() -> int:
     tables = all(
         check_table(level, transform)
@@ -106,6 +151,8 @@ def main() -> int:
     if not tables:
         return 1
     print("ok    tables for L = 1..16 and 65535, tanh and identity")
+    if not check_float32_lattice():
+        return 1
     return 0 if sweep_float32() else 1
 
 

@@ -49,6 +49,9 @@ _EXIT_CODES = {
 # 2048 frames were no faster here and raised the benchmark's pretrain peak
 # memory to 80 MB (1024: 74-76 MB, serial: 69.5 MB; bound 10%).  On one CPU
 # 1024-frame blocks are no slower than 512 (60 against 61 ms, 92 ms both).
+# A default block's temporaries per thread: in tokenize, uint8 digits and
+# comparison masks; in detokenize, uint16 digits and quotients and a 512 KB
+# float32 lattice, which replaced a 1 MB float64 one.
 _BLOCK_FRAMES = 1024
 
 
@@ -92,7 +95,7 @@ def _cmd_detokenize(args) -> int:
 
     def detokenize_block(block: slice) -> None:
         indices = unpack_frames(stream.tokens[block], stream.scheme)
-        values[:, block] = fsq_dequantize(indices.T, stream.scheme.levels)
+        fsq_dequantize(indices.T, stream.scheme.levels, out=values[:, block])
 
     map_blocks(detokenize_block, _blocks(stream.frame_count))
     fileio.write_feature_file(args.out, values, stream.frame_rate_hz)

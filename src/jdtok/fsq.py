@@ -40,10 +40,19 @@ Subtracting from such digits wraps (0 - 1 is 255 in uint8): widen first.
 Only the threshold count loops over the distinct levels, since each level
 count has its own table.  The lattice values, of a snap as of
 ``fsq_dequantize``, and the digit check are arithmetic on the level, a
-Python int when all dimensions share it, else broadcast as a float64
-[D, 1] column (lattice) or compared row by row (a failed digit check).
+scalar when all dimensions share it, else broadcast as a [D, 1] column
+(lattice) or compared row by row (a failed digit check).
 ``fsq_indices`` is the snap alone, with no lattice values: tokenizing needs
 only the integer codes.
+
+Lattice values are float64, except that ``fsq_dequantize(out=)`` computes
+them in its ``out``'s dtype, float32 or float64, and writes them there.
+The float32 values are bit-equal to the float64 ones rounded to float32:
+2i - L + 1 and L are exact integers in float32, and rounding their quotient
+once to float32 or first to float64 gives the same float, since
+53 >= 2 * 24 + 2 (Figueroa, "When is double rounding innocuous?", 1995).
+A float32 ``out`` takes levels up to 65535, where
+scripts/fsq_threshold_check.py checks every digit.
 
 Codec rules are checked once each: levels by ``FsqLevels``, digits by
 ``_checked_indices`` (for ``fsq_dequantize`` and ``radix.pack_frames``),
@@ -105,11 +114,11 @@ def fsq_boundaries(level: int) -> np.ndarray:
     return _lattice(np.arange(level), level)
 
 
-def _lattice(index, level):
-    # (2 index - level + 1) / level in one float64 buffer; shared by snap,
-    # dequantize and boundaries so they agree bit for bit.  level is an int,
-    # or a float64 [D, 1] column for mixed levels
-    out = np.multiply(2.0, index)
+def _lattice(index, level, dtype=np.float64):
+    # (2 index - level + 1) / level in one new buffer of ``dtype``; shared by
+    # snap, dequantize and boundaries so they agree bit for bit.  level is an
+    # int or a scalar of that dtype, or a [D, 1] column of it for mixed levels
+    out = np.multiply(2.0, index, dtype=dtype)
     out -= level
     out += 1
     out /= level
@@ -237,12 +246,12 @@ def _level_tables(levels: tuple[int, ...], transform, dtype) -> tuple:
 _TABLES_LOCK = threading.Lock()
 
 
-def _level_operand(levels: FsqLevels):
-    """The level as ``_lattice`` takes it: an int when all dimensions share it, else a column."""
+def _level_operand(levels: FsqLevels, dtype=np.float64):
+    """The level as ``_lattice`` takes it in ``dtype``: a scalar when all dimensions share it, else a column."""
     if len(set(levels.levels)) == 1:  # the usual case: a scalar, faster than a column
-        return levels.levels[0]
+        return dtype(levels.levels[0])
     # each element meets the same correctly rounded level as a scalar would give it
-    return np.array(levels.levels, dtype=np.float64)[:, None]
+    return np.array(levels.levels, dtype=dtype)[:, None]
 
 
 def _quantize(values, levels, transform, with_values: bool = True) -> tuple:
@@ -329,7 +338,35 @@ def _checked_indices(indices, levels: FsqLevels) -> np.ndarray:
     )
 
 
-def fsq_dequantize(indices: np.ndarray, levels) -> np.ndarray:
-    """Map [D, T] integer lattice indices back to their lattice values."""
+# the largest level a float32 ``out`` takes: scripts/fsq_threshold_check.py
+# compares every float32 lattice point up to it with its rounded float64 value
+_FLOAT32_LEVELS = 65535
+
+
+def fsq_dequantize(indices: np.ndarray, levels, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Map [D, T] integer lattice indices back to their lattice values.
+
+    Without ``out`` the values are a new float64 array.  ``out``, a float32
+    or float64 [D, T] array (a strided view will do), receives them computed
+    in its own dtype and is returned; float32 values are bit-equal to the
+    float64 ones rounded to float32 (see the module docstring).  A float32
+    ``out`` takes levels up to 65535, the range checked exhaustively; a
+    larger level, another dtype or shape raise ``ValueError``.  The digits
+    are checked before anything is written.
+    """
     levels = _as_levels(levels)
-    return _lattice(_checked_indices(indices, levels), _level_operand(levels))
+    indices = _checked_indices(indices, levels)
+    if out is None:
+        return _lattice(indices, _level_operand(levels))
+    if not isinstance(out, np.ndarray) or out.dtype not in (np.float32, np.float64):
+        raise ValueError(f"out must be a float32 or float64 array, got {getattr(out, 'dtype', type(out).__name__)}")
+    if out.shape != indices.shape:
+        raise ValueError(f"out has shape {out.shape}, the indices {indices.shape}")
+    if out.dtype == np.float32 and max(levels.levels) > _FLOAT32_LEVELS:
+        raise ValueError(
+            f"a float32 out takes levels up to {_FLOAT32_LEVELS}, got {max(levels.levels)}"
+        )
+    # one copy: numpy buffers every pass over a strided view, such as a block
+    # of the CLI's [D, frames] array, and four passes into it take twice as long
+    out[...] = _lattice(indices, _level_operand(levels, out.dtype.type), out.dtype)
+    return out

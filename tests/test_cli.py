@@ -801,14 +801,16 @@ class TestMemory:
     FRAMES = 20_000
     PAYLOAD = 4 * 128 * FRAMES  # float32 feature payload, in and out
 
-    def test_detokenize_below_twice_the_output(self, tmp_path, capsys, monkeypatch):
-        report_cpus(monkeypatch, 2)  # each thread adds one block's temporaries
+    def test_detokenize_below_1_3_times_the_output(self, tmp_path, capsys, monkeypatch):
+        # the output, the tokens and, per thread, one block's digits and
+        # float32 lattice: about 1.19-1.24 payloads on two threads
+        report_cpus(monkeypatch, 2)
         feat, tok, back = tmp_path / "f.jdf", tmp_path / "t.jdt", tmp_path / "b.jdf"
         write_features(feat, self.FRAMES)
         assert main(["tokenize", "--in", str(feat), "--out", str(tok)]) == 0
         code, peak = traced_peak(["detokenize", "--in", str(tok), "--out", str(back)])
         assert code == 0
-        assert peak < 2 * self.PAYLOAD
+        assert peak < 1.3 * self.PAYLOAD
 
     def test_tokenize_below_1_25_times_the_input(self, tmp_path, capsys, monkeypatch):
         # the input, its tokens and, per thread, one block's uint8 digits and

@@ -368,6 +368,97 @@ class TestDequantize:
         np.testing.assert_array_equal(val[0], b)
 
 
+# level lists for fsq_dequantize(out=): a scalar level of each digit width,
+# the widest float32 level, and mixed lists as a [D, 1] column
+OUT_LEVELS = {
+    "1": (1,),
+    "3x5": (3,) * 5,
+    "4x128": (4,) * 128,
+    "65535x2": (65535,) * 2,
+    "2..129": tuple(range(2, 130)),
+    "uneven": tuple(SCHEMES["uneven"][0]),
+}
+
+
+def random_digits(levels, frames, dtype, seed=0):
+    """[D, frames] digits below each level and within ``dtype``, with 0 and the top one."""
+    top = np.iinfo(dtype).max
+    rng = np.random.default_rng(seed)
+    digits = np.stack([rng.integers(0, min(level, top + 1), size=frames) for level in levels])
+    digits[:, 0] = 0
+    digits[:, -1] = np.minimum(np.array(levels) - 1, top)
+    return digits.astype(dtype)
+
+
+class TestDequantizeInto:
+    """``fsq_dequantize(out=)``: the lattice in out's dtype, written into out."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_returns_out(self, dtype):
+        out = np.empty((4, 3), dtype)
+        assert fsq_dequantize(np.zeros((4, 3), np.uint8), FsqLevels((4,) * 4), out=out) is out
+
+    @pytest.mark.parametrize("out_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("digit_dtype", [np.uint8, np.uint16, np.int64])
+    @pytest.mark.parametrize("name", OUT_LEVELS)
+    def test_equals_float64_lattice_rounded(self, name, digit_dtype, out_dtype):
+        levels = FsqLevels(OUT_LEVELS[name])
+        digits = random_digits(levels.levels, 300, digit_dtype)
+        out = fsq_dequantize(digits, levels, out=np.empty(digits.shape, out_dtype))
+        want = fsq_dequantize(digits, levels).astype(out_dtype)
+        assert out.dtype == out_dtype
+        assert np.array_equal(out, want)
+        bits = np.uint32 if out_dtype == np.float32 else np.uint64
+        assert np.array_equal(out.view(bits), want.view(bits))  # -0.0 is not 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_column_slice(self, dtype):
+        # as the CLI passes a block of its [D, frames] array
+        levels = FsqLevels(OUT_LEVELS["uneven"])
+        digits = random_digits(levels.levels, 50, np.uint16, seed=3)
+        wide = np.full((levels.dim, 150), np.nan, dtype)
+        block = wide[:, 50:100]
+        assert fsq_dequantize(digits, levels, out=block) is block
+        assert np.array_equal(wide[:, 50:100], fsq_dequantize(digits, levels).astype(dtype))
+        assert np.all(np.isnan(wide[:, :50])) and np.all(np.isnan(wide[:, 100:]))
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((2, 6), np.float32),
+            np.empty((5, 2), np.float32),
+            np.empty((2, 5, 1), np.float64),
+            np.empty((2, 5), np.int64),
+            np.empty((2, 5), np.float16),
+            np.empty((2, 5), np.complex128),
+            [[0.0] * 5] * 2,
+        ],
+        ids=["frames", "transposed", "3d", "int64", "float16", "complex128", "list"],
+    )
+    def test_wrong_shape_or_dtype_raises(self, out):
+        with pytest.raises(ValueError, match="^out "):
+            fsq_dequantize(np.zeros((2, 5), np.uint8), FsqLevels((4, 4)), out=out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bad_digit_leaves_out_untouched(self, dtype):
+        digits = np.zeros((2, 5), np.uint8)
+        digits[1, 3] = 4
+        out = np.full((2, 5), 7.0, dtype)
+        with pytest.raises(ValidationError, match=r"dimension 1.*frame 3"):
+            fsq_dequantize(digits, FsqLevels((4, 4)), out=out)
+        assert np.all(out == 7.0)
+
+    def test_float32_takes_levels_up_to_65535(self):
+        digits = np.array([[65535], [0]], dtype=np.uint16)
+        levels = FsqLevels((65536, 4))
+        out = np.full((2, 1), 7.0, np.float32)
+        with pytest.raises(ValueError, match="float32 out takes levels up to 65535, got 65536"):
+            fsq_dequantize(digits, levels, out=out)
+        assert np.all(out == 7.0)
+        wide = fsq_dequantize(digits, levels, out=np.empty((2, 1)))  # float64 takes any level
+        assert np.array_equal(wide, fsq_dequantize(digits, levels))
+
+
 class TestLevels:
     def test_default_replicates_four(self):
         levels = FsqLevels()
