@@ -51,7 +51,7 @@ _EXIT_CODES = {
 # 1024-frame blocks are no slower than 512 (60 against 61 ms, 92 ms both).
 # A default block's temporaries per thread: in tokenize, uint8 digits and
 # comparison masks; in detokenize, uint16 digits and quotients and a 512 KB
-# float32 lattice, which replaced a 1 MB float64 one.
+# float32 lattice (half a float64 one), copied into the output block.
 _BLOCK_FRAMES = 1024
 
 

@@ -338,9 +338,7 @@ def _checked_indices(indices, levels: FsqLevels) -> np.ndarray:
     )
 
 
-# the largest level a float32 ``out`` takes: scripts/fsq_threshold_check.py
-# compares every float32 lattice point up to it with its rounded float64 value
-_FLOAT32_LEVELS = 65535
+_FLOAT32_LEVELS = 65535  # scripts/fsq_threshold_check.py checks every digit up to it
 
 
 def fsq_dequantize(indices: np.ndarray, levels, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -359,14 +357,15 @@ def fsq_dequantize(indices: np.ndarray, levels, *, out: np.ndarray | None = None
     if out is None:
         return _lattice(indices, _level_operand(levels))
     if not isinstance(out, np.ndarray) or out.dtype not in (np.float32, np.float64):
-        raise ValueError(f"out must be a float32 or float64 array, got {getattr(out, 'dtype', type(out).__name__)}")
+        got = getattr(out, "dtype", type(out).__name__)
+        raise ValueError(f"out must be a float32 or float64 array, got {got}")
     if out.shape != indices.shape:
         raise ValueError(f"out has shape {out.shape}, the indices {indices.shape}")
     if out.dtype == np.float32 and max(levels.levels) > _FLOAT32_LEVELS:
         raise ValueError(
             f"a float32 out takes levels up to {_FLOAT32_LEVELS}, got {max(levels.levels)}"
         )
-    # one copy: numpy buffers every pass over a strided view, such as a block
-    # of the CLI's [D, frames] array, and four passes into it take twice as long
+    # built contiguous, then copied once: numpy buffers every pass over a
+    # strided view, such as a block of the CLI's [D, frames] array
     out[...] = _lattice(indices, _level_operand(levels, out.dtype.type), out.dtype)
     return out
