@@ -247,7 +247,7 @@ _TABLES_LOCK = threading.Lock()
 
 
 def _level_operand(levels: FsqLevels, dtype=np.float64):
-    """The level in ``dtype`` for ``_lattice``: a scalar if all dimensions share it, else a column."""
+    """The level in ``dtype`` for ``_lattice``: one scalar, or a [D, 1] column if mixed."""
     if len(set(levels.levels)) == 1:  # the usual case: a scalar, faster than a column
         return dtype(levels.levels[0])
     # each element meets the same correctly rounded level as a scalar would give it
