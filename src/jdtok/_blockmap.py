@@ -1,8 +1,9 @@
 """One map over independent blocks, spread over the CPUs the process may use.
 
-The codec commands and the multi-resolution STFT loss both walk their data
-in blocks whose work is native numpy code that releases the interpreter
-lock, so threads overlap it.  ``map_blocks`` is their one way to do so.
+Its one caller is the multi-resolution STFT loss, whose blocks of FFTs and
+reductions are native numpy code that releases the interpreter lock, so
+threads overlap them.  The codec commands walk their blocks on the calling
+thread, where threads bought nothing measurable.
 """
 
 from __future__ import annotations

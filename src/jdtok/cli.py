@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import fileio
-from ._blockmap import map_blocks
 from .config import load_config
 from .errors import ConfigError, FormatError, ValidationError
 from .fsq import fsq_dequantize, fsq_indices
@@ -40,24 +39,8 @@ _EXIT_CODES = {
 }
 
 
-# Frames per kernel call.  Each block's temporaries stay cache-sized, and
-# ``map_blocks`` spreads the blocks over the usable CPUs.  Measured in process
-# on 2 shared cores, 90 000 default frames with file I/O (serial 512-frame
-# blocks: tokenize 65-66 ms, detokenize 96 ms): threaded 512-frame blocks gain
-# nothing (66-72 and 99-105 ms): per block, the Python and small ufunc calls
-# hold the interpreter lock.  1024-frame blocks take 51-54 and 68-75 ms.
-# 2048 frames were no faster here and raised the benchmark's pretrain peak
-# memory to 80 MB (1024: 74-76 MB, serial: 69.5 MB; bound 10%).  On one CPU
-# 1024-frame blocks are no slower than 512 (60 against 61 ms, 92 ms both).
-# A default block's temporaries per thread: in tokenize, uint8 digits and
-# comparison masks; in detokenize, uint16 digits and quotients and a 512 KB
-# float32 lattice (half a float64 one), copied into the output block.
+# Frames per kernel call: each block's temporaries stay cache-sized.
 _BLOCK_FRAMES = 1024
-
-
-def _blocks(frames: int) -> list[slice]:
-    """Slices covering ``frames`` in order, ``_BLOCK_FRAMES`` at a time."""
-    return [slice(lo, lo + _BLOCK_FRAMES) for lo in range(0, frames, _BLOCK_FRAMES)]
 
 
 def _vocab_summary(products: tuple[int, ...]) -> str:
@@ -74,12 +57,10 @@ def _cmd_tokenize(args) -> int:
         )
     scheme = cfg.scheme
     tokens = np.empty((data.shape[1], scheme.group_count), dtype=scheme.token_dtype)
-
-    def tokenize_block(block: slice) -> None:
+    for lo in range(0, data.shape[1], _BLOCK_FRAMES):
+        block = slice(lo, lo + _BLOCK_FRAMES)
         indices = fsq_indices(data[:, block], cfg.levels)
         tokens[block] = pack_frames(indices.T, scheme)
-
-    map_blocks(tokenize_block, _blocks(data.shape[1]))
     stream = TokenStream(tokens=tokens, scheme=scheme, frame_rate_hz=frame_rate)
     fileio.write_token_file(args.out, stream)
     print(f"frames: {stream.frame_count}")
@@ -92,12 +73,10 @@ def _cmd_tokenize(args) -> int:
 def _cmd_detokenize(args) -> int:
     stream = fileio.read_token_file(args.infile)
     values = np.empty((stream.scheme.dim, stream.frame_count), dtype=np.float32)
-
-    def detokenize_block(block: slice) -> None:
+    for lo in range(0, stream.frame_count, _BLOCK_FRAMES):
+        block = slice(lo, lo + _BLOCK_FRAMES)
         indices = unpack_frames(stream.tokens[block], stream.scheme)
         fsq_dequantize(indices.T, stream.scheme.levels, out=values[:, block])
-
-    map_blocks(detokenize_block, _blocks(stream.frame_count))
     fileio.write_feature_file(args.out, values, stream.frame_rate_hz)
     print(f"frames: {stream.frame_count}")
     print(f"dimensions: {stream.scheme.dim}")

@@ -418,6 +418,14 @@ PINNED = {
         "f0fa0a1a3cd06b79c7530f60eff11f63c7f15a37051ac4cee1b6f3b360de7b16",
         "dfa73048b22221c83d34fbb8b9e69cd236cd1a4506f427089cde7701ff24b0f9",
     ),
+    "mixed": (
+        "32e3a44483aacaaa3c18e7e8ffeb37e80a3ce1afaad616e84e5154cd28716924",
+        "f44fe2fbda1cd4c1dad5b320b595910d7afdc5686f253b65e523ef9362149377",
+    ),
+    "u16digits": (
+        "25e9fa80c9de53331d0ea522ee93b14d50a13ce2f08ff804eab0dee2dd26c03b",
+        "8b67040dae1fd39ecd192ee9d795d251f5c4f84c9fe3c121bb769a32de37c972",
+    ),
 }
 
 
