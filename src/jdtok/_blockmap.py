@@ -1,9 +1,8 @@
 """One map over independent blocks, spread over the CPUs the process may use.
 
-Its one caller is the multi-resolution STFT loss, whose blocks of FFTs and
-reductions are native numpy code that releases the interpreter lock, so
-threads overlap them.  The codec commands walk their blocks on the calling
-thread, where threads bought nothing measurable.
+Its one caller is the multi-resolution STFT loss, whose blocks are native
+numpy code that releases the interpreter lock, so threads overlap them.  The
+codec commands walk their blocks on the calling thread, where threads did not pay.
 """
 
 from __future__ import annotations

@@ -827,7 +827,8 @@ class TestMemory:
 
     def test_tokenize_below_1_15_times_the_input(self, tmp_path, capsys):
         # the input, its tokens and one block's uint8 digits and comparison
-        # temporaries: about 1.11-1.13 payloads
+        # temporaries: about 1.12 payloads, 1.14 on a process's first call,
+        # which builds the threshold tables
         feat, tok = tmp_path / "f.jdf", tmp_path / "t.jdt"
         write_features(feat, self.FRAMES)
         code, peak = traced_peak(["tokenize", "--in", str(feat), "--out", str(tok)])
